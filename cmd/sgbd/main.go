@@ -15,8 +15,6 @@
 //	-fsync POLICY    WAL fsync policy: always | interval | never
 //	-fsync-interval D  flush period when -fsync interval
 //	-checkpoint-interval D  background snapshot+log-trim period (0 disables)
-//	-snapshot FILE   legacy non-durable mode: load FILE at boot when it
-//	                 exists; save back on graceful shutdown only
 //	-max-conns N     reject connections beyond N concurrently open (0 = off)
 //	-idle-timeout D  close connections idle between statements for D (0 = off)
 //	-parallel N      default session worker count (0 = auto/GOMAXPROCS)
@@ -63,8 +61,8 @@
 // Per-connection sessions inherit the flag defaults and may override them
 // with wire Set messages (sgbcli -connect maps \parallel, \batch, \limits,
 // \alg onto those). SIGINT/SIGTERM drain gracefully: the listener closes,
-// in-flight statements get -drain-timeout to finish, then a final checkpoint
-// (or the legacy snapshot) is saved.
+// in-flight statements get -drain-timeout to finish, then (with -data-dir) a
+// final checkpoint is written.
 //
 // sgbd prints "listening on <addr>" and "metrics on http://<addr>/metrics"
 // to stdout once ready, so scripts using ":0" ports can scrape the actual
@@ -107,7 +105,6 @@ func main() {
 		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
 		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period with -fsync interval")
 		ckptEvery    = flag.Duration("checkpoint-interval", time.Minute, "background checkpoint period (0 disables)")
-		snapshot     = flag.String("snapshot", "", "legacy snapshot file: loaded at boot if present, saved on graceful shutdown (not crash-safe; prefer -data-dir)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrently open connections (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle between statements this long (0 = never)")
 		parallel     = flag.Int("parallel", 0, "default session parallelism (0 = auto)")
@@ -135,8 +132,8 @@ func main() {
 	cfg := daemonConfig{
 		addr: *addr, metricsAddr: *metricsAddr,
 		dataDir: *dataDir, fsync: *fsyncPolicy, fsyncInterval: *fsyncEvery,
-		checkpointInterval: *ckptEvery, snapshot: *snapshot,
-		maxConns: *maxConns, idleTimeout: *idleTimeout,
+		checkpointInterval: *ckptEvery,
+		maxConns:           *maxConns, idleTimeout: *idleTimeout,
 		parallel: *parallel, batch: *batch, maxRows: *maxRows, maxTime: *maxTime,
 		alg: *alg, drainTimeout: *drainTimeout,
 		slowQuery: *slowQuery, slowlogSize: *slowlogSize, traceSample: *traceSample,
@@ -161,7 +158,6 @@ type daemonConfig struct {
 	fsync              string
 	fsyncInterval      time.Duration
 	checkpointInterval time.Duration
-	snapshot           string
 	maxConns           int
 	idleTimeout        time.Duration
 	parallel, batch    int
@@ -202,10 +198,6 @@ func parseBytes(s string) (int64, error) {
 }
 
 func run(cfg daemonConfig) error {
-	if cfg.dataDir != "" && cfg.snapshot != "" {
-		return fmt.Errorf("-data-dir and -snapshot are mutually exclusive")
-	}
-
 	// The HTTP side comes up before recovery so /healthz answers immediately
 	// and /readyz honestly reports 503 while the WAL tail replays.
 	reg := obs.NewRegistry()
@@ -249,11 +241,11 @@ func run(cfg daemonConfig) error {
 		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
 	}
 
-	// Boot the database: durable store, legacy snapshot, or ephemeral. The
-	// stream manager rides the commit path in every mode — as the store's
-	// commit observer when durable (WAL sequences number the delta stream,
-	// and recovery replay regenerates delta history), or hooked straight into
-	// the engine otherwise.
+	// Boot the database: durable store or ephemeral. The stream manager rides
+	// the commit path in both modes — as the store's commit observer when
+	// durable (WAL sequences number the delta stream, and recovery replay
+	// regenerates delta history), or hooked straight into the engine
+	// otherwise.
 	streams := stream.NewManager()
 	var (
 		db    *engine.DB
@@ -290,19 +282,6 @@ func run(cfg daemonConfig) error {
 		db = store.DB()
 		fmt.Printf("recovered data dir %s (%d tables, %d wal records replayed, fsync %s)\n",
 			cfg.dataDir, len(db.Catalog().Names()), store.ReplayedRecords(), policy)
-	case cfg.snapshot != "":
-		var err error
-		db, err = server.LoadSnapshotFile(cfg.snapshot)
-		if os.IsNotExist(err) {
-			fmt.Printf("snapshot %s not found, starting empty\n", cfg.snapshot)
-			db = engine.NewDB()
-		} else if err != nil {
-			return err
-		} else {
-			fmt.Printf("loaded snapshot %s (%d tables)\n", cfg.snapshot, len(db.Catalog().Names()))
-		}
-		db.SetMetrics(reg)
-		streams.AttachEngine(db)
 	default:
 		db = engine.NewDB()
 		db.SetMetrics(reg)
@@ -375,17 +354,11 @@ func run(cfg daemonConfig) error {
 	if metricsSrv != nil {
 		_ = metricsSrv.Shutdown(context.Background())
 	}
-	switch {
-	case store != nil:
+	if store != nil {
 		if err := store.Close(); err != nil {
 			return fmt.Errorf("closing data dir: %w", err)
 		}
 		fmt.Printf("final checkpoint written to %s\n", cfg.dataDir)
-	case cfg.snapshot != "":
-		if err := server.SaveSnapshotFile(db, cfg.snapshot); err != nil {
-			return err
-		}
-		fmt.Printf("snapshot saved to %s\n", cfg.snapshot)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -46,7 +47,14 @@ func TestAddColsMatchesAdd(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := SGBAnyCols(cols, opt)
+				g, err := NewAnyGrouper(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := g.AddCols(cols); err != nil {
+					t.Fatal(err)
+				}
+				got, err := g.Finish()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,26 +86,13 @@ func TestParallelColsMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4} {
-				got, err := SGBAnyParallelCols(cols, opt, workers)
+				got, err := SGBAnyParallelColsCtx(context.Background(), cols, opt, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got.Groups, want.Groups) {
 					t.Fatalf("%v/eps%g/workers%d: columnar parallel grouping differs", m, eps, workers)
 				}
-			}
-			// The row-major wrapper and the columnar entry point must agree
-			// exactly, stats included (they share one implementation).
-			a, err := SGBAnyParallel(pts, opt, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := SGBAnyParallelCols(cols, opt, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a.Groups, b.Groups) || a.Stats != b.Stats {
-				t.Fatalf("%v/eps%g: Point wrapper and Cols entry point disagree", m, eps)
 			}
 		}
 	}

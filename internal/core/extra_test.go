@@ -131,12 +131,12 @@ func TestAnyParallelWorkerCountIrrelevant(t *testing.T) {
 	r := rand.New(rand.NewSource(143))
 	pts := randomPoints(r, 200, 2, 4)
 	opt := Options{Metric: geom.L2, Eps: 0.7}
-	base, err := SGBAnyParallel(pts, opt, 1)
+	base, err := parallelAny(pts, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 64} {
-		res, err := SGBAnyParallel(pts, opt, workers)
+		res, err := parallelAny(pts, opt, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

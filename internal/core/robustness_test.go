@@ -30,7 +30,8 @@ func adversarialPoints(r *rand.Rand, n, dim int, eps float64) []geom.Point {
 	return pts
 }
 
-// TestParallelAnyAdversarialCellBoundaries pins SGBAnyParallel == SGBAny on
+// TestParallelAnyAdversarialCellBoundaries pins the grid-parallel SGB-Any
+// to the serial SGBAny on
 // boundary-straddling inputs across metrics, dimensions and worker counts.
 func TestParallelAnyAdversarialCellBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
@@ -46,7 +47,7 @@ func TestParallelAnyAdversarialCellBoundaries(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := SGBAnyParallel(pts, opt, 1+r.Intn(7))
+					got, err := parallelAny(pts, opt, 1+r.Intn(7))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -72,12 +73,12 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	if _, err := SGBAll(bad, opt); !errors.Is(err, ErrNonFiniteCoordinate) {
 		t.Fatalf("SGBAll: err = %v, want ErrNonFiniteCoordinate", err)
 	}
-	if _, err := SGBAnyParallel(bad, opt, 2); !errors.Is(err, ErrNonFiniteCoordinate) {
-		t.Fatalf("SGBAnyParallel: err = %v, want ErrNonFiniteCoordinate", err)
+	if _, err := parallelAny(bad, opt, 2); !errors.Is(err, ErrNonFiniteCoordinate) {
+		t.Fatalf("SGBAnyParallelColsCtx: err = %v, want ErrNonFiniteCoordinate", err)
 	}
 	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
-		if _, err := SGBAnyParallel([]geom.Point{{v, 0}}, opt, 2); !errors.Is(err, ErrNonFiniteCoordinate) {
-			t.Fatalf("SGBAnyParallel(%v): err = %v, want ErrNonFiniteCoordinate", v, err)
+		if _, err := parallelAny([]geom.Point{{v, 0}}, opt, 2); !errors.Is(err, ErrNonFiniteCoordinate) {
+			t.Fatalf("SGBAnyParallelColsCtx(%v): err = %v, want ErrNonFiniteCoordinate", v, err)
 		}
 	}
 
@@ -104,24 +105,24 @@ func TestParallelCtxCancel(t *testing.T) {
 	pts := randomPoints(r, 5000, 2, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SGBAnyParallelCtx(ctx, pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	res, err := SGBAnyParallelColsCtx(ctx, geom.ColsFromPoints(pts), Options{Metric: geom.L2, Eps: 0.5}, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res != nil {
 		t.Fatal("canceled run returned a partial result")
 	}
-	// A live context behaves exactly like the ctx-free API.
-	want, err := SGBAnyParallel(pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	// A live context runs to completion and matches the serial grouping.
+	want, err := SGBAny(pts, Options{Metric: geom.L2, Eps: 0.5, Algorithm: IndexBounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SGBAnyParallelCtx(context.Background(), pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	got, err := SGBAnyParallelColsCtx(context.Background(), geom.ColsFromPoints(pts), Options{Metric: geom.L2, Eps: 0.5}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Groups, want.Groups) {
-		t.Fatal("ctx variant diverged from SGBAnyParallel")
+		t.Fatal("live-context parallel run diverged from SGBAny")
 	}
 }
 

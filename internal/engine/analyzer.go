@@ -5,14 +5,14 @@ package engine
 // style of planning where the optimizer is a pipeline of named rules rather
 // than one monolithic pass. Rules operate at two levels: AST rules rewrite
 // the SELECT statement before lowering (projection pruning), and tree rules
-// rewrite the physical operator tree after lowering (limit pushdown). Two
+// rewrite the physical operator tree after lowering (limit pushdown). Three
 // more rules live inside the lowering itself because they need its
 // intermediate state: index-scan selection and predicate pushdown in
-// planSelect, and cost-based SGB algorithm / columnar-path selection in
-// planAggregate. Every applied rule is recorded on the planContext, and
-// DB.SetOptimizer(false) disables the whole pipeline except predicate
-// pushdown (which is semantic: it fixes which source an ambiguous-looking
-// column resolves against and keeps cross joins from exploding).
+// planSelect, and cost-based SGB algorithm selection in planAggregate. Every
+// applied rule is recorded on the planContext, and DB.SetOptimizer(false)
+// disables the whole pipeline except predicate pushdown (which is semantic:
+// it fixes which source an ambiguous-looking column resolves against and
+// keeps cross joins from exploding).
 
 // ruleApplied records that a named analyzer rule changed the plan, for
 // introspection and the rule-pipeline tests.
@@ -243,9 +243,8 @@ func (pc *planContext) applyTreeRules(op operator) (operator, bool) {
 		r, chR := pc.applyTreeRules(o.right)
 		o.left, o.right, changed = l, r, changed || chL || chR
 		// Aggregation operators' children are deliberately left alone: their
-		// morsel fragments and columnar plans were extracted from the child
-		// chain at lowering time, and rewriting underneath them would
-		// invalidate those. No tree rule targets those chains anyway (limits
+		// morsel fragments were extracted from the child chain at lowering
+		// time, and rewriting underneath them would invalidate those. No tree rule targets those chains anyway (limits
 		// never occur below an aggregation).
 	}
 	return out, changed

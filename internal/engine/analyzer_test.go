@@ -127,8 +127,6 @@ func TestAnalyzerRulesRecorded(t *testing.T) {
 		{"SELECT s.a, s.b FROM (SELECT id AS a, x AS b FROM nums) s", "prune_subquery_projection", false},
 		{"SELECT n.id FROM nums n, dim d WHERE n.k = d.k AND n.v > 5", "predicate_pushdown", true},
 		{"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "sgb_algorithm_selection", true},
-		{"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "columnar_selection", true},
-		{"SELECT x, y, sum(v) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "columnar_selection", false}, // sum needs tuples
 		{"SELECT k, count(*) FROM nums GROUP BY k", "sgb_algorithm_selection", false},
 	}
 	for _, c := range cases {

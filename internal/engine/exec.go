@@ -708,14 +708,9 @@ type sgbAggOp struct {
 	// frag and workers are set by the planner for SGB-Any plans whose input
 	// pipeline is parallel-safe and large enough: input collection runs
 	// morsel-parallel and the grouping itself routes through the core's
-	// grid-partition SGBAnyParallelCtx instead of the serial grouper.
+	// grid-partition SGBAnyParallelColsCtx instead of the serial grouper.
 	frag    *morselFragment
 	workers int
-
-	// colPlan, when set by the planner, routes open() through the tuple-free
-	// columnar fast path (see colbatch.go). It subsumes frag/workers: its own
-	// worker count decides the serial/parallel grouping split.
-	colPlan *colPlan
 
 	rows []Row
 	pos  int
@@ -857,9 +852,6 @@ func (a *sgbAggOp) groupSerial(pts geom.Cols, opt core.Options) (*core.Result, e
 
 func (a *sgbAggOp) open() error {
 	a.lastWorkers, a.lastMorsels = 0, 0
-	if a.colPlan != nil {
-		return a.openColumnar()
-	}
 	parallel := a.frag != nil && a.workers > 1 && a.spec.Mode == SGBAnyMode
 	var tuples []Row
 	var err error

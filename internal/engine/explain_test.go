@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,8 +138,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb all join-any l2",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 3 ON-OVERLAP JOIN-ANY",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY L2 WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8)",
+				"Project (count) (est_rows=1 est_cost=20.0)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY L2 WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -145,8 +147,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb all eliminate linf",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8)",
+				"Project (count) (est_rows=1 est_cost=20.0)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -154,8 +156,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb all form-new-group linf",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP FORM-NEW-GROUP",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL FORM-NEW-GROUP LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8)",
+				"Project (count) (est_rows=1 est_cost=20.0)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL FORM-NEW-GROUP LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -163,8 +165,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb any l2",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=25.2)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=24.0)",
+				"Project (count) (est_rows=1 est_cost=26.2)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -174,8 +176,8 @@ func TestExplainGolden(t *testing.T) {
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			alg:  "index",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=319.5)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=318.3)",
+				"Project (count) (est_rows=1 est_cost=320.5)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=319.3)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -285,8 +287,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "sgb all join-any linf",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP JOIN-ANY",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0) (actual rows=2 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8) (actual rows=2 loops=1 time=X ms)",
+				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=8 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=0 dropped=0",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
@@ -297,8 +299,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "sgb all eliminate linf",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0) (actual rows=2 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8) (actual rows=2 loops=1 time=X ms)",
+				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=10 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=0 dropped=1",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
@@ -309,8 +311,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "sgb any l2",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=25.2) (actual rows=3 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=24.0) (actual rows=3 loops=1 time=X ms)",
+				"Project (count) (est_rows=1 est_cost=26.2) (actual rows=3 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0) (actual rows=3 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=10 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=2 dropped=0",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
@@ -466,4 +468,51 @@ func TestExplainAnalyzeMatchesDirectExecution(t *testing.T) {
 
 func itoa(n int) string {
 	return string(rune('0' + n%10)) // test fixture row counts are single-digit
+}
+
+// TestExplainAnalyzeSGBMatchesExecution pins that EXPLAIN ANALYZE times the
+// code plain execution runs: for a count(*) SGB-Any and an SGB-All query, at
+// one worker and on the grid-parallel path, the SGB node's annotation
+// reports exactly the core Stats plain execution left in LastSGBStats, and
+// the node's actual row count is the plain result's row count.
+func TestExplainAnalyzeSGBMatchesExecution(t *testing.T) {
+	db := NewDB()
+	loadNums(t, db, 2000, 23)
+	db.SetBatchSize(64)
+	rowsRE := regexp.MustCompile(`actual rows=(\d+) `)
+	for _, q := range []string{
+		"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 3",
+		"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
+	} {
+		for _, workers := range []int{1, 4} {
+			db.SetParallelism(workers)
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			s := db.LastSGBStats()
+			want := fmt.Sprintf(
+				"SGB Stats: points=%d distance_comps=%d rect_tests=%d hull_tests=%d window_queries=%d index_updates=%d rounds=%d merged=%d ",
+				s.Points, s.DistanceComps, s.RectTests, s.HullTests,
+				s.WindowQueries, s.IndexUpdates, s.Rounds, s.GroupsMerged)
+
+			lines := planLines(t, db, "EXPLAIN ANALYZE "+q)
+			node := -1
+			for i, l := range lines {
+				if strings.Contains(l, "SimilarityGroupBy") {
+					node = i
+				}
+			}
+			if node < 0 || node+1 >= len(lines) {
+				t.Fatalf("%s (workers=%d): no SGB node with annotation:\n%s", q, workers, strings.Join(lines, "\n"))
+			}
+			m := rowsRE.FindStringSubmatch(lines[node])
+			if m == nil || m[1] != strconv.Itoa(len(res.Rows)) {
+				t.Errorf("%s (workers=%d): SGB node %q, want actual rows=%d", q, workers, lines[node], len(res.Rows))
+			}
+			if got := strings.TrimSpace(lines[node+1]); !strings.HasPrefix(got, want) {
+				t.Errorf("%s (workers=%d): EXPLAIN ANALYZE annotation\n got %q\nwant prefix %q", q, workers, got, want)
+			}
+		}
+	}
 }

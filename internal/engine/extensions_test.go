@@ -170,8 +170,21 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage pins that a corrupt snapshot — bytes that are not a
+// gob stream, or a real snapshot cut short — fails loudly at load rather
+// than producing a partial or empty database.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("Load accepted garbage")
+	var buf bytes.Buffer
+	if err := testDB(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for name, in := range map[string][]byte{
+		"garbage":   []byte("not a gob stream"),
+		"truncated": raw[:len(raw)/2],
+	} {
+		if _, err := Load(bytes.NewReader(in)); err == nil {
+			t.Errorf("Load accepted a %s snapshot", name)
+		}
 	}
 }

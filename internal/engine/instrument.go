@@ -67,10 +67,6 @@ func instrument(op operator) *instrumentedOp {
 		op.child = instrument(op.child)
 	case *sgbAggOp:
 		op.child = instrument(op.child)
-		// EXPLAIN ANALYZE observes the fully general row path so the child
-		// chain's actual row counts mean what the rendered tree says; the
-		// tuple-free fast path would bypass the instrumented operators.
-		op.colPlan = nil
 	case *distinctOp:
 		op.child = instrument(op.child)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -58,10 +59,47 @@ func sortedRowStrings(res *Result) []string {
 	return out
 }
 
-// TestParallelMatchesSerial is the equivalence property test: for GROUP BY,
-// SGB-Any, join, and LIMIT queries, execution with any worker count (1
-// included) and a small batch size — which forces morsel-parallel plans —
-// returns a row multiset identical to the serial run.
+// loadGrid populates table pts with ε-grid-adversarial float coordinates:
+// exact multiples of eps nudged by ±ULP-scale deltas, the inputs most likely
+// to split a group at a grid-cell wall or to expose a disagreement between
+// the serial grouper's per-point probes and the grid-parallel path's batch
+// kernels.
+func loadGrid(t *testing.T, db *DB, n, dim int, eps float64, seed int64) {
+	t.Helper()
+	cols := "x FLOAT"
+	if dim >= 2 {
+		cols += ", y FLOAT"
+	}
+	if _, err := db.Exec(fmt.Sprintf("CREATE TABLE pts (id INT, %s)", cols)); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.Catalog().Get("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	deltas := []float64{0, 0, 1e-16, -1e-16, 1e-9, -1e-9, eps / 2}
+	rows := make([]Row, n)
+	for i := range rows {
+		row := Row{NewInt(int64(i))}
+		for d := 0; d < dim; d++ {
+			cell := float64(r.Intn(9) - 4)
+			row = append(row, NewFloat(cell*eps+deltas[r.Intn(len(deltas))]))
+		}
+		rows[i] = row
+	}
+	if err := tab.Insert(rows...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParallelMatchesSerial is the equivalence property test: every query
+// returns the same rows as its serial, default-batch, optimized run at any
+// worker count (1 included), at a small batch size — which forces
+// morsel-parallel plans — and at the default one, with the optimizer on and
+// off. The GROUP BY, join and LIMIT queries over nums compare row multisets;
+// the SGB queries over the ε-grid-adversarial tables compare rows in output
+// order, bit for bit.
 func TestParallelMatchesSerial(t *testing.T) {
 	db := NewDB()
 	loadNums(t, db, 3000, 11)
@@ -73,45 +111,73 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	queries := []string{
+	assertPlanMatrix(t, db, sortedRowStrings, []int{1, 2, 3, 8}, []string{
 		"SELECT k, count(*), sum(v), min(v), max(v), avg(v) FROM nums WHERE v > 100 GROUP BY k",
 		"SELECT k, array_agg(v) FROM nums WHERE id < 500 GROUP BY k",
 		"SELECT count(*), sum(v + k) FROM nums WHERE mod(id, 3) = 0",
 		"SELECT count(*), min(id) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 3",
 		"SELECT d.label, count(*) FROM nums n, dim d WHERE n.k = d.k AND n.v > 500 GROUP BY d.label",
 		"SELECT id, v FROM nums WHERE v > 900 ORDER BY id LIMIT 37 OFFSET 5",
-	}
+	})
 
-	db.SetParallelism(1)
-	serial := make([][]string, len(queries))
-	for i, q := range queries {
+	for _, dim := range []int{1, 2} {
+		for _, eps := range []float64{0.25, 1.0} {
+			db := NewDB()
+			loadGrid(t, db, 900, dim, eps, int64(100*dim)+int64(eps*4))
+			group := "x"
+			if dim == 2 {
+				group = "x, y"
+			}
+			var queries []string
+			for _, m := range []string{"L2", "LINF", "L1"} {
+				queries = append(queries,
+					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ANY %s WITHIN %g", group, group, m, eps),
+					fmt.Sprintf("SELECT %s, count(*), min(id) FROM pts WHERE id < 700 GROUP BY %s DISTANCE-TO-ANY %s WITHIN %g", group, group, m, eps),
+					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP JOIN-ANY", group, group, m, eps),
+					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP ELIMINATE", group, group, m, eps),
+					fmt.Sprintf("SELECT %s, count(*), max(id) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP FORM-NEW-GROUP", group, group, m, eps),
+				)
+			}
+			assertPlanMatrix(t, db, rowStrings, []int{1, 4}, queries)
+		}
+	}
+}
+
+// assertPlanMatrix runs each query serially at the default batch size with
+// the optimizer on, then across workers × batch sizes {64, default} ×
+// optimizer {on, off}, and fails on the first run whose rendered rows differ
+// from the reference.
+func assertPlanMatrix(t *testing.T, db *DB, render func(*Result) []string, workerCounts []int, queries []string) {
+	t.Helper()
+	run := func(q string, workers, batch int, optimize bool) []string {
+		t.Helper()
+		db.SetParallelism(workers)
+		db.SetBatchSize(batch)
+		db.SetOptimizer(optimize)
 		res, err := db.Query(q)
 		if err != nil {
-			t.Fatalf("serial %q: %v", q, err)
+			t.Fatalf("workers=%d batch=%d optimize=%v %q: %v", workers, batch, optimize, q, err)
 		}
-		serial[i] = sortedRowStrings(res)
+		return render(res)
 	}
-
-	db.SetBatchSize(64) // 3000 rows -> ~47 morsels, forcing parallel plans
-	for _, workers := range []int{1, 2, 3, 8} {
-		db.SetParallelism(workers)
-		for i, q := range queries {
-			res, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("workers=%d %q: %v", workers, q, err)
-			}
-			got := sortedRowStrings(res)
-			if len(got) != len(serial[i]) {
-				t.Fatalf("workers=%d %q: %d rows, serial had %d", workers, q, len(got), len(serial[i]))
-			}
-			for j := range got {
-				if got[j] != serial[i][j] {
-					t.Fatalf("workers=%d %q: row %d = %q, serial %q", workers, q, j, got[j], serial[i][j])
+	want := make([][]string, len(queries))
+	for i, q := range queries {
+		want[i] = run(q, 1, 0, true)
+	}
+	for _, batch := range []int{64, 0} {
+		for _, workers := range workerCounts {
+			for _, optimize := range []bool{true, false} {
+				for i, q := range queries {
+					got := run(q, workers, batch, optimize)
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Fatalf("workers=%d batch=%d optimize=%v %q differs from the serial run\ngot:  %v\nwant: %v",
+							workers, batch, optimize, q, got, want[i])
+					}
 				}
 			}
 		}
 	}
+	db.SetOptimizer(true)
 }
 
 // TestParallelPlanShape asserts that a qualifying plan actually takes the
@@ -281,6 +347,20 @@ func TestParallelRowLimitAcrossWorkers(t *testing.T) {
 	db.SetLimits(Limits{})
 	if _, err := db.Query("SELECT count(*) FROM nums"); err != nil {
 		t.Fatalf("query after limit error: %v", err)
+	}
+}
+
+// TestSGBCountRespectsRowLimit pins that a count(*)-only SGB aggregation,
+// which needs no aggregate input beyond group membership, still charges every
+// collected row against MaxRowsMaterialized.
+func TestSGBCountRespectsRowLimit(t *testing.T) {
+	db := NewDB()
+	loadNums(t, db, 3000, 19)
+	db.SetLimits(Limits{MaxRowsMaterialized: 500})
+	_, err := db.Query("SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 3")
+	var rle *ResourceLimitError
+	if !errors.As(err, &rle) {
+		t.Fatalf("err = %v, want ResourceLimitError", err)
 	}
 }
 

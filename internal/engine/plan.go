@@ -470,7 +470,6 @@ func (pc *planContext) planAggregate(stmt *SelectStmt, child operator, orderBy [
 			qc:         pc.qc,
 		}
 		pc.markParallelSGB(op, groupExprs, rw)
-		pc.markColumnarSGB(op, groupExprs, rw)
 		pc.sgbOps = append(pc.sgbOps, op)
 		aggOp = op
 	} else {
@@ -555,8 +554,8 @@ func (pc *planContext) markParallelHashAgg(op *hashAggOp, groupExprs []Expr, rw 
 
 // markParallelSGB flags an SGB operator for parallel execution. Only SGB-Any
 // under the default on-the-fly-index algorithm routes through the core's
-// grid-partition SGBAnyParallelCtx: its output is provably identical to the
-// serial grouper's (connected components are order-free), whereas SGB-All's
+// grid-partition SGBAnyParallelColsCtx: its output is provably identical to
+// the serial grouper's (connected components are order-free), whereas SGB-All's
 // group formation is input-order- and overlap-clause-sensitive. Keeping the
 // explicitly selected All-Pairs/Bounds-Checking variants serial also
 // preserves their meaning as benchmark baselines.

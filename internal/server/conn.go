@@ -453,7 +453,7 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 	release, admitted, fatal := c.admit(tr, qcancel)
 	if !admitted {
 		tr.SetState("done")
-		c.srv.recordFinished(entry, c.settingsString(), time.Since(start), 0,
+		c.recordFinished(entry, time.Since(start), 0,
 			errors.New("statement not admitted (shed or canceled while queued)"))
 		return !fatal
 	}
@@ -482,30 +482,37 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 	}()
 
 	// finish streams the outcome (rows or error) and records the statement in
-	// the latency histograms and, past the threshold, the slowlog.
+	// the latency histograms and, past the threshold, the slowlog. The
+	// slowlog entry lands before the terminal Done/Error frame, so a client
+	// that has its reply can already find its trace in /debug/slowlog.
 	finish := func(res *engine.Result, execErr error, connFatal bool) bool {
 		execDur := time.Since(start)
 		m.Histogram("server_wire_execute_seconds", obs.DefBuckets).Observe(execDur.Seconds())
 		var werr error
 		var rows int64
-		if execErr != nil {
-			if !connFatal {
-				werr = c.writeQueryError(execErr)
-			}
-		} else {
+		if execErr == nil {
 			rows = int64(len(res.Rows))
 			if !connFatal {
 				tr.SetState("streaming")
 				span := tr.StartSpan("stream")
-				werr = c.streamResult(res)
+				werr = c.streamRows(res)
 				span.End()
 				m.Histogram("server_wire_stream_seconds", obs.DefBuckets).
 					Observe(span.Duration().Seconds())
 			}
 		}
 		tr.SetState("done")
-		c.srv.recordFinished(entry, c.settingsString(), time.Since(start), rows, execErr)
-		return !connFatal && werr == nil
+		c.recordFinished(entry, time.Since(start), rows, execErr)
+		if connFatal || werr != nil {
+			return false
+		}
+		if execErr != nil {
+			return c.writeQueryError(execErr) == nil
+		}
+		return c.writeMsg(&wire.Done{
+			RowsAffected: int64(res.RowsAffected),
+			RowCount:     int64(len(res.Rows)),
+		}) == nil
 	}
 
 	connFatal := false
@@ -549,11 +556,12 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 	}
 }
 
-// streamResult sends a completed statement result: RowHeader (when the
-// statement produces columns), RowBatch frames at the session's batch size,
-// then Done. This is where the wire maps onto the engine's batch layer — the
-// same row granularity the vectorized executor uses internally.
-func (c *conn) streamResult(res *engine.Result) error {
+// streamRows sends a completed statement's rows: RowHeader (when the
+// statement produces columns), then RowBatch frames at the session's batch
+// size; the caller sends the terminal Done. This is where the wire maps onto
+// the engine's batch layer — the same row granularity the vectorized
+// executor uses internally.
+func (c *conn) streamRows(res *engine.Result) error {
 	if len(res.Columns) > 0 {
 		if err := c.writeMsg(&wire.RowHeader{Columns: res.Columns}); err != nil {
 			return err
@@ -572,10 +580,7 @@ func (c *conn) streamResult(res *engine.Result) error {
 			}
 		}
 	}
-	return c.writeMsg(&wire.Done{
-		RowsAffected: int64(res.RowsAffected),
-		RowCount:     int64(len(res.Rows)),
-	})
+	return nil
 }
 
 // writeQueryError maps an engine failure onto a typed wire error. The

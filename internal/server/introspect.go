@@ -62,17 +62,19 @@ func (s *Server) ProcessList() []obs.QueryInfo {
 func (s *Server) SlowLog() *obs.SlowLog { return s.slowlog }
 
 // recordFinished folds a completed statement into the slowlog when it
-// cleared the configured threshold (0 logs everything, negative disables).
-func (s *Server) recordFinished(e *procEntry, settings string, elapsed time.Duration, rows int64, err error) {
-	thr := s.cfg.SlowQueryThreshold
-	if thr < 0 || elapsed < thr {
+// cleared the configured threshold (0 logs everything; New maps a negative,
+// disabled threshold past any elapsed time). It runs before the statement's
+// terminal frame, so below the threshold it costs one comparison.
+func (c *conn) recordFinished(e *procEntry, elapsed time.Duration, rows int64, err error) {
+	s := c.srv
+	if elapsed < s.cfg.SlowQueryThreshold {
 		return
 	}
 	q := obs.SlowQuery{
 		TraceID:   e.tr.ID(),
 		Client:    e.client,
 		SQL:       e.sql,
-		Settings:  settings,
+		Settings:  c.settingsString(),
 		ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6,
 		Rows:      rows,
 		Trace:     e.tr.Snapshot(),

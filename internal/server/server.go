@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,9 @@ func New(db *engine.DB, cfg Config) *Server {
 	}
 	if cfg.AdmissionQueue <= 0 {
 		cfg.AdmissionQueue = defaultAdmissionQueue
+	}
+	if cfg.SlowQueryThreshold < 0 {
+		cfg.SlowQueryThreshold = math.MaxInt64 // disabled: no statement reaches it
 	}
 	s := &Server{
 		cfg:     cfg,

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,6 +105,45 @@ func TestStoreCheckpointBoundsReplay(t *testing.T) {
 	}
 	if got := s2.DB().Metrics().Counter("checkpoints_total").Value(); got != 0 {
 		t.Errorf("fresh store inherited checkpoint count %d", got)
+	}
+}
+
+// TestStoreRejectsCorruptCheckpoint pins the boot-time error path: a
+// truncated or garbage checkpoint file must fail OpenStore loudly, naming
+// the checkpoint, rather than recover an empty or partial database.
+func TestStoreRejectsCorruptCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s1.DB(), "CREATE TABLE t (n INT)")
+	mustExec(t, s1.DB(), "INSERT INTO t VALUES (1), (2), (3)")
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"truncated": raw[:len(raw)/2],
+		"garbage":   []byte("this is not a checkpoint at all"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := t.TempDir()
+			if err := os.WriteFile(filepath.Join(bad, checkpointFile), body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := OpenStore(StoreOptions{Dir: bad})
+			if err == nil {
+				st.Close()
+				t.Fatal("corrupt checkpoint recovered without error")
+			}
+			if !strings.Contains(err.Error(), "checkpoint") {
+				t.Errorf("error does not identify the checkpoint: %v", err)
+			}
+		})
 	}
 }
 

@@ -23,6 +23,7 @@ package sgb
 
 import (
 	"context"
+	"fmt"
 
 	"sgb/internal/core"
 	"sgb/internal/engine"
@@ -137,14 +138,33 @@ func NewDB() *DB { return engine.NewDB() }
 // partitioned parallel algorithm (an extension beyond the paper; the result
 // is identical to GroupAny). workers <= 0 selects GOMAXPROCS.
 func GroupAnyParallel(points []Point, opt Options, workers int) (*Result, error) {
-	return core.SGBAnyParallel(points, opt, workers)
+	return GroupAnyParallelCtx(context.Background(), points, opt, workers)
 }
 
 // GroupAnyParallelCtx is GroupAnyParallel with a cancellation context: once
 // ctx is done the workers drain out and the call returns ctx.Err() instead of
 // a partial result.
 func GroupAnyParallelCtx(ctx context.Context, points []Point, opt Options, workers int) (*Result, error) {
-	return core.SGBAnyParallelCtx(ctx, points, opt, workers)
+	cols, err := pointCols(points)
+	if err != nil {
+		return nil, err
+	}
+	return core.SGBAnyParallelColsCtx(ctx, cols, opt, workers)
+}
+
+// pointCols transposes a row-major point set into the columnar layout the
+// parallel grouper consumes, rejecting what a geom.Cols cannot represent: a
+// zero-dimensional point or points of differing dimensionality.
+func pointCols(points []Point) (geom.Cols, error) {
+	for i, p := range points {
+		if len(p) == 0 {
+			return geom.Cols{}, fmt.Errorf("sgb: point %d: zero-dimensional", i)
+		}
+		if len(p) != len(points[0]) {
+			return geom.Cols{}, fmt.Errorf("sgb: point %d: %w", i, core.ErrDimensionMismatch)
+		}
+	}
+	return geom.ColsFromPoints(points), nil
 }
 
 // Limits bounds the resources a single SQL statement may consume; install

@@ -1,9 +1,12 @@
 package sgb
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
+
+	"sgb/internal/core"
 )
 
 // TestFacadeGroupAll exercises the public operator API end to end on the
@@ -121,5 +124,20 @@ func TestFacadeParallelMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.Groups, par.Groups) {
 		t.Fatalf("parallel %v vs sequential %v", par.Groups, seq.Groups)
+	}
+}
+
+// TestFacadeParallelRejectsBadInput pins the []Point adapter's validation,
+// which a columnar point set cannot express: ragged input fails with
+// ErrDimensionMismatch and zero-dimensional points are refused.
+func TestFacadeParallelRejectsBadInput(t *testing.T) {
+	opt := Options{Metric: L2, Eps: 1}
+	if _, err := GroupAnyParallel([]Point{{1, 1}, {1}}, opt, 2); !errors.Is(err, core.ErrDimensionMismatch) {
+		t.Errorf("mixed dimensions: err = %v, want ErrDimensionMismatch", err)
+	}
+	for _, pts := range [][]Point{{{}}, {{1, 1}, {}}} {
+		if _, err := GroupAnyParallel(pts, opt, 2); err == nil {
+			t.Errorf("%v: zero-dimensional point accepted", pts)
+		}
 	}
 }
