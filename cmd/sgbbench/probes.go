@@ -403,21 +403,15 @@ var estActualRe = regexp.MustCompile(`est_rows=(\d+).*actual rows=(\d+)`)
 // gate.
 const plannerReps = 15
 
-// plannerVariant is one timed configuration (a manual algorithm override or
-// auto) of a planner probe.
-type plannerVariant struct {
-	name string
-	set  func()
-}
-
-// timeVariantsP50 times every variant of one query with interleaved reps:
+// timeVariantsP50 times one query under every variant — a value of the
+// sgb_algorithm setting (a manual override or auto) — with interleaved reps:
 // round-robin over the variants, one execution each per round, p50 per
 // variant. Interleaving matters because the variants are compared against
 // each other — timing each in its own sequential block lets load drift
 // during the run bias whole blocks, which showed up as an auto run measuring
 // far from the manual run of the very algorithm it had chosen. The first
 // round is a discarded warmup.
-func timeVariantsP50(db *engine.DB, q string, variants []plannerVariant, timeout time.Duration) (map[string]time.Duration, map[string]*engine.Result, error) {
+func timeVariantsP50(db *engine.DB, q string, variants []string, timeout time.Duration) (map[string]time.Duration, map[string]*engine.Result, error) {
 	samples := make(map[string][]time.Duration, len(variants))
 	results := make(map[string]*engine.Result, len(variants))
 	fastest := make(map[string]time.Duration, len(variants))
@@ -428,7 +422,9 @@ func timeVariantsP50(db *engine.DB, q string, variants []plannerVariant, timeout
 			// pays a cache-cold penalty, and it must not always hit the same
 			// variant.
 			v := variants[(i+rep)%len(variants)]
-			v.set()
+			if err := db.Set("sgb_algorithm", v); err != nil {
+				return nil, nil, err
+			}
 			ctx, cancel := context.Background(), func() {}
 			if timeout > 0 {
 				ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -438,14 +434,14 @@ func timeVariantsP50(db *engine.DB, q string, variants []plannerVariant, timeout
 			wall := time.Since(start)
 			cancel()
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", v.name, err)
+				return nil, nil, fmt.Errorf("%s: %w", v, err)
 			}
 			if rep == 0 {
 				continue // warmup round
 			}
-			samples[v.name] = append(samples[v.name], wall)
-			if _, ok := results[v.name]; !ok || wall < fastest[v.name] {
-				fastest[v.name], results[v.name] = wall, res
+			samples[v] = append(samples[v], wall)
+			if _, ok := results[v]; !ok || wall < fastest[v] {
+				fastest[v], results[v] = wall, res
 			}
 		}
 	}
@@ -499,35 +495,27 @@ func runPlannerProbes(db *engine.DB, n int, seed int64, timeout time.Duration) (
 
 	var out []plannerProbeResult
 	for _, p := range probes {
-		manual := map[string]core.Algorithm{
-			"allpairs": core.AllPairs,
-			"index":    core.IndexBounds,
-		}
+		manual := []string{engine.SGBAlgorithmName(core.AllPairs), engine.SGBAlgorithmName(core.IndexBounds)}
 		if p.all {
-			manual["bounds"] = core.BoundsChecking
+			manual = append(manual, engine.SGBAlgorithmName(core.BoundsChecking))
 		}
 		res := plannerProbeResult{
 			Name: p.name, Query: p.query, N: p.size, Eps: p.eps,
 			ManualP50MS: make(map[string]float64, len(manual)),
 		}
-		variants := []plannerVariant{{"auto", db.SetSGBAlgorithmAuto}}
-		for name, alg := range manual {
-			a := alg
-			variants = append(variants, plannerVariant{name, func() { db.SetSGBAlgorithm(a) }})
-		}
-		p50s, runs, err := timeVariantsP50(db, p.query, variants, timeout)
+		p50s, runs, err := timeVariantsP50(db, p.query, append([]string{"auto"}, manual...), timeout)
 		if err != nil {
 			return nil, fmt.Errorf("planner probe %s: %w", p.name, err)
 		}
 		db.SetSGBAlgorithmAuto()
 		wantRows := -1
-		for name := range manual {
+		for _, name := range manual {
 			ms := float64(p50s[name].Nanoseconds()) / 1e6
 			res.ManualP50MS[name] = ms
 			if res.BestManualAlg == "" || ms < res.BestManualP50MS {
 				res.BestManualAlg, res.BestManualP50MS = name, ms
 			}
-			if name == "index" {
+			if name == engine.SGBAlgorithmName(core.IndexBounds) {
 				// The fixed pre-planner default, the speedup baseline.
 				res.DefaultP50MS = ms
 			}

@@ -1,25 +1,32 @@
 // Command sgbcli is an interactive SQL shell for the similarity group-by
 // engine. By default it runs against an embedded in-process database; with
-// -connect host:port it speaks the wire protocol to a running sgbd instead,
-// and the settings meta commands (\alg, \parallel, \batch, \limits) map onto
-// session-scoped settings of that connection.
+// -connect host:port it speaks the wire protocol to a running sgbd instead.
+// Both modes share one command handler: the settings commands (\alg,
+// \parallel, \batch, \limits) send name/value pairs to the engine's Set —
+// the embedded database's defaults, or the connection's own session on the
+// server — so both modes accept exactly the same values.
 //
 // Statements end with ';'. Meta commands:
 //
-//	\tables              list tables
-//	\load tpch <SF>      generate and load TPC-H-style data
-//	\load checkin <N>    generate and load a check-in table ("checkins")
+//	\tables              embedded only: list tables
+//	\load tpch <SF>      embedded only: generate and load TPC-H-style data
+//	\load checkin <N>    embedded only: generate and load a check-in table
+//	                     ("checkins")
+//	\save <file>         embedded only: snapshot the database to a file
+//	\open <file>         embedded only: replace the database with a snapshot
 //	\alg <name>          pick the SGB algorithm: auto (cost-based, the
 //	                     default) | allpairs | bounds | index
-//	\parallel [<n>]      set the morsel worker count (0 = auto/GOMAXPROCS,
-//	                     1 = serial; no args: show the resolved count)
-//	\batch [<n>]         set the batch/morsel row count (0 = engine default;
-//	                     no args: show)
-//	\save <file>         snapshot the database to a file
-//	\open <file>         replace the session database with a snapshot
+//	\parallel <n>        set the morsel worker count (0 = auto/GOMAXPROCS,
+//	                     1 = serial)
+//	\batch <n>           set the batch/morsel row count (0 = engine default)
+//	\limits rows <n> | time <dur> | off
+//	                     set per-query resource limits
+//	\alg, \parallel, \batch, \limits with no argument
+//	                     embedded only: show the current settings
 //	\timing              toggle query timing (with parse/plan/execute spans;
 //	                     remote: also prints the query's trace ID)
-//	\stats               dump the engine metrics registry (Prometheus text)
+//	\stats               dump the metrics registry (Prometheus text; remote:
+//	                     the server's, over the wire)
 //	\slowlog <ms>        log queries slower than <ms> to stderr (0 disables)
 //	\slowlog             remote only: fetch the server's slow-query log,
 //	                     newest first, with each query's trace spans
@@ -28,13 +35,7 @@
 //	\subscribe <view> [<token>]
 //	                     remote only: stream a materialized view's deltas
 //	                     until Ctrl-C; with a token, resume after that seq
-//	\limits rows <n> | time <dur> | off
-//	                     set per-query resource limits (no args: show)
 //	\q                   quit
-//
-// In remote mode \tables, \load, \save, and \open are unavailable (they need
-// the embedded database); everything else works, with \stats fetching the
-// server's metrics registry over the wire.
 //
 // Ctrl-C while a statement is executing cancels that statement (embedded:
 // context cancellation; remote: a wire Cancel frame — the server aborts the
@@ -63,7 +64,6 @@ import (
 
 	"sgb/internal/checkin"
 	"sgb/internal/client"
-	"sgb/internal/core"
 	"sgb/internal/engine"
 	"sgb/internal/stream"
 	"sgb/internal/tpch"
@@ -201,59 +201,70 @@ func firstLine(sql string) string {
 	return sql
 }
 
-// meta handles a backslash command; it returns false on \q.
-func meta(s *session, cmd string) bool {
+// settingCommands maps each single-value settings command onto the Set key
+// it sends and its usage line.
+var settingCommands = map[string]struct{ key, usage string }{
+	"\\alg":      {"sgb_algorithm", "usage: \\alg auto|allpairs|bounds|index"},
+	"\\parallel": {"parallelism", "usage: \\parallel <n>  (0 = auto, 1 = serial)"},
+	"\\batch":    {"batch_size", "usage: \\batch <n>  (0 = engine default)"},
+}
+
+// setter takes a setting by name, in the engine's one key list; *engine.DB
+// and *client.Conn both implement it.
+type setter interface {
+	Set(name, value string) error
+}
+
+// settings is where the settings commands send their name/value pairs: the
+// embedded database's defaults, or this connection's session on the server.
+func (s *session) settings() setter {
 	if s.conn != nil {
-		return metaRemote(s, cmd)
+		return s.conn
 	}
-	db := s.db
+	return s.db
+}
+
+// meta handles a backslash command in either mode; it returns false on \q.
+// The package comment lists the few commands that exist in one mode only.
+func meta(s *session, cmd string) bool {
 	fields := strings.Fields(cmd)
-	switch fields[0] {
+	// set sends name/value pairs in order, stopping at the first refusal.
+	set := func(pairs ...string) {
+		for i := 0; i+1 < len(pairs); i += 2 {
+			if err := s.settings().Set(pairs[i], pairs[i+1]); err != nil {
+				fmt.Println("error:", err)
+				return
+			}
+			fmt.Printf("%s = %s\n", pairs[i], pairs[i+1])
+		}
+	}
+	switch name := fields[0]; name {
 	case "\\q", "\\quit":
 		return false
 	case "\\timing":
 		s.timing = !s.timing
 		fmt.Println("timing:", s.timing)
 	case "\\stats":
-		if err := db.Metrics().WritePrometheus(os.Stdout); err != nil {
+		if s.conn == nil {
+			if err := s.db.Metrics().WritePrometheus(os.Stdout); err != nil {
+				fmt.Println("stats failed:", err)
+			}
+			break
+		}
+		text, err := s.conn.Stats()
+		if err != nil {
 			fmt.Println("stats failed:", err)
+			break
 		}
-	case "\\limits":
-		lim := db.Limits()
-		switch {
-		case len(fields) == 1:
-		case len(fields) == 2 && fields[1] == "off":
-			lim = engine.Limits{}
-		case len(fields) == 3 && fields[1] == "rows":
-			n, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil || n < 0 {
-				fmt.Println("bad row limit:", fields[2])
-				return true
-			}
-			lim.MaxRowsMaterialized = n
-		case len(fields) == 3 && fields[1] == "time":
-			d, err := time.ParseDuration(fields[2])
-			if err != nil || d < 0 {
-				fmt.Println("bad time limit:", fields[2])
-				return true
-			}
-			lim.MaxExecutionTime = d
-		default:
-			fmt.Println("usage: \\limits [rows <n> | time <duration> | off]")
-			return true
-		}
-		db.SetLimits(lim)
-		rows, dur := "unlimited", "unlimited"
-		if lim.MaxRowsMaterialized > 0 {
-			rows = strconv.FormatInt(lim.MaxRowsMaterialized, 10)
-		}
-		if lim.MaxExecutionTime > 0 {
-			dur = lim.MaxExecutionTime.String()
-		}
-		fmt.Printf("limits: rows=%s time=%s\n", rows, dur)
+		printStatsHeadline(text)
+		fmt.Print(text)
 	case "\\slowlog":
+		if len(fields) == 1 && s.conn != nil {
+			printServerSlowLog(s.conn)
+			break
+		}
 		if len(fields) != 2 {
-			fmt.Println("usage: \\slowlog <milliseconds>  (0 disables)")
+			fmt.Println("usage: \\slowlog <milliseconds>  (0 disables; with -connect, no argument fetches the server slowlog)")
 			break
 		}
 		ms, err := strconv.ParseFloat(fields[1], 64)
@@ -267,59 +278,55 @@ func meta(s *session, cmd string) bool {
 		} else {
 			fmt.Printf("logging queries slower than %v to stderr\n", s.slowLog)
 		}
+	case "\\alg", "\\parallel", "\\batch":
+		switch c := settingCommands[name]; {
+		case len(fields) == 2:
+			set(c.key, fields[1])
+		case len(fields) == 1 && s.db != nil:
+			fmt.Println(s.db.Settings())
+		default:
+			fmt.Println(c.usage)
+		}
+	case "\\limits":
+		switch {
+		case len(fields) == 1 && s.db != nil:
+			fmt.Println(s.db.Settings())
+		case len(fields) == 2 && fields[1] == "off":
+			set("max_rows", "0", "max_time", "0")
+		case len(fields) == 3 && fields[1] == "rows":
+			set("max_rows", fields[2])
+		case len(fields) == 3 && fields[1] == "time":
+			set("max_time", fields[2])
+		default:
+			fmt.Println("usage: \\limits rows <n> | time <duration> | off")
+		}
+	case "\\tables", "\\load", "\\save", "\\open":
+		if s.db == nil {
+			fmt.Printf("%s needs the embedded database; not available with -connect\n", name)
+			break
+		}
+		s.embeddedCommand(fields)
+	case "\\processlist", "\\subscribe":
+		if s.conn == nil {
+			fmt.Printf("%s needs a server; use -connect\n", name)
+			break
+		}
+		s.serverCommand(fields)
+	default:
+		fmt.Println("unknown command:", name)
+	}
+	return true
+}
+
+// embeddedCommand runs a command that needs the embedded database.
+func (s *session) embeddedCommand(fields []string) {
+	db := s.db
+	switch fields[0] {
 	case "\\tables":
 		for _, n := range db.Catalog().Names() {
 			t, _ := db.Catalog().Get(n)
 			fmt.Printf("%s (%d rows)\n", n, len(t.Rows))
 		}
-	case "\\alg":
-		if len(fields) != 2 {
-			fmt.Println("usage: \\alg auto|allpairs|bounds|index")
-			break
-		}
-		switch fields[1] {
-		case "auto":
-			db.SetSGBAlgorithmAuto()
-		case "allpairs":
-			db.SetSGBAlgorithm(core.AllPairs)
-		case "bounds":
-			db.SetSGBAlgorithm(core.BoundsChecking)
-		case "index":
-			db.SetSGBAlgorithm(core.IndexBounds)
-		default:
-			fmt.Println("unknown algorithm:", fields[1])
-		}
-		if db.SGBAlgorithmIsAuto() {
-			fmt.Println("SGB algorithm: auto (cost-based per query)")
-		} else {
-			fmt.Println("SGB algorithm:", db.SGBAlgorithm())
-		}
-	case "\\parallel":
-		if len(fields) == 2 {
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				fmt.Println("bad worker count:", fields[1])
-				break
-			}
-			db.SetParallelism(n)
-		} else if len(fields) != 1 {
-			fmt.Println("usage: \\parallel [<n>]  (0 = auto, 1 = serial)")
-			break
-		}
-		fmt.Println("parallel workers:", db.Parallelism())
-	case "\\batch":
-		if len(fields) == 2 {
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				fmt.Println("bad batch size:", fields[1])
-				break
-			}
-			db.SetBatchSize(n)
-		} else if len(fields) != 1 {
-			fmt.Println("usage: \\batch [<n>]  (0 = engine default)")
-			break
-		}
-		fmt.Println("batch size:", db.BatchSize())
 	case "\\save":
 		if len(fields) != 2 {
 			fmt.Println("usage: \\save <file>")
@@ -390,79 +397,14 @@ func meta(s *session, cmd string) bool {
 		default:
 			fmt.Println("unknown dataset:", fields[1])
 		}
-	case "\\processlist":
-		fmt.Println("\\processlist needs a server; use -connect")
-	case "\\subscribe":
-		fmt.Println("\\subscribe needs a server; use -connect")
-	default:
-		fmt.Println("unknown command:", fields[0])
 	}
-	return true
 }
 
-// metaRemote handles a backslash command against a remote sgbd: the settings
-// commands become wire Set messages scoped to this connection's session, and
-// \stats fetches the server's metrics registry. Commands that need the
-// embedded database (\tables, \load, \save, \open) are unavailable.
-func metaRemote(s *session, cmd string) bool {
-	c := s.conn
-	fields := strings.Fields(cmd)
-	// set sends one session-setting change and reports the outcome.
-	set := func(name, value string) {
-		if err := c.Set(name, value); err != nil {
-			fmt.Println("error:", err)
-		} else {
-			fmt.Printf("%s = %s\n", name, value)
-		}
-	}
+// serverCommand runs a command that needs a server connection.
+func (s *session) serverCommand(fields []string) {
 	switch fields[0] {
-	case "\\q", "\\quit":
-		return false
-	case "\\timing":
-		s.timing = !s.timing
-		fmt.Println("timing:", s.timing)
-	case "\\slowlog":
-		// With no argument, fetch the server's slow-query log; with a
-		// threshold, keep the local client-side logging from embedded mode.
-		if len(fields) == 1 {
-			entries, err := c.SlowLog(context.Background())
-			if err != nil {
-				fmt.Println("slowlog failed:", err)
-				break
-			}
-			if len(entries) == 0 {
-				fmt.Println("server slowlog is empty")
-				break
-			}
-			for _, e := range entries {
-				fmt.Printf("%s  %8.3fms  trace=%s  client=%s\n", e.FinishedAt, e.ElapsedMS, e.TraceID, e.Client)
-				fmt.Printf("  %s\n", firstLine(e.SQL))
-				if e.Err != "" {
-					fmt.Printf("  error: %s\n", e.Err)
-				}
-				for _, sp := range e.Trace.Spans {
-					fmt.Printf("  %-12s %8.3fms\n", sp.Name, sp.DurMS)
-				}
-			}
-			break
-		}
-		if len(fields) != 2 {
-			fmt.Println("usage: \\slowlog [<milliseconds>]  (no args: fetch server slowlog; 0 disables local logging)")
-			break
-		}
-		ms, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || ms < 0 {
-			fmt.Println("bad threshold:", fields[1])
-			break
-		}
-		s.slowLog = time.Duration(ms * float64(time.Millisecond))
-		if s.slowLog == 0 {
-			fmt.Println("slow-query log disabled")
-		} else {
-			fmt.Printf("logging queries slower than %v to stderr\n", s.slowLog)
-		}
 	case "\\processlist":
-		procs, err := c.ProcessList(context.Background())
+		procs, err := s.conn.ProcessList(context.Background())
 		if err != nil {
 			fmt.Println("processlist failed:", err)
 			break
@@ -474,44 +416,6 @@ func metaRemote(s *session, cmd string) bool {
 		for _, q := range procs {
 			fmt.Printf("trace=%s  client=%s  state=%-10s  %8.3fms  %s\n",
 				q.TraceID, q.Client, q.State, q.ElapsedMS, firstLine(q.SQL))
-		}
-	case "\\stats":
-		text, err := c.Stats()
-		if err != nil {
-			fmt.Println("stats failed:", err)
-			break
-		}
-		printStatsHeadline(text)
-		fmt.Print(text)
-	case "\\alg":
-		if len(fields) != 2 {
-			fmt.Println("usage: \\alg auto|allpairs|bounds|index")
-			break
-		}
-		set("sgb_algorithm", fields[1])
-	case "\\parallel":
-		if len(fields) != 2 {
-			fmt.Println("usage: \\parallel <n>  (0 = auto, 1 = serial)")
-			break
-		}
-		set("parallelism", fields[1])
-	case "\\batch":
-		if len(fields) != 2 {
-			fmt.Println("usage: \\batch <n>  (0 = engine default)")
-			break
-		}
-		set("batch_size", fields[1])
-	case "\\limits":
-		switch {
-		case len(fields) == 2 && fields[1] == "off":
-			set("max_rows", "0")
-			set("max_time", "0")
-		case len(fields) == 3 && fields[1] == "rows":
-			set("max_rows", fields[2])
-		case len(fields) == 3 && fields[1] == "time":
-			set("max_time", fields[2])
-		default:
-			fmt.Println("usage: \\limits rows <n> | time <duration> | off")
 		}
 	case "\\subscribe":
 		if len(fields) < 2 || len(fields) > 3 {
@@ -528,12 +432,31 @@ func metaRemote(s *session, cmd string) bool {
 			token = t
 		}
 		s.subscribe(fields[1], token)
-	case "\\tables", "\\load", "\\save", "\\open":
-		fmt.Printf("%s needs the embedded database; not available with -connect\n", fields[0])
-	default:
-		fmt.Println("unknown command:", fields[0])
 	}
-	return true
+}
+
+// printServerSlowLog fetches and prints the server's slow-query log, newest
+// first, with each query's trace spans.
+func printServerSlowLog(c *client.Conn) {
+	entries, err := c.SlowLog(context.Background())
+	if err != nil {
+		fmt.Println("slowlog failed:", err)
+		return
+	}
+	if len(entries) == 0 {
+		fmt.Println("server slowlog is empty")
+		return
+	}
+	for _, e := range entries {
+		fmt.Printf("%s  %8.3fms  trace=%s  client=%s\n", e.FinishedAt, e.ElapsedMS, e.TraceID, e.Client)
+		fmt.Printf("  %s\n", firstLine(e.SQL))
+		if e.Err != "" {
+			fmt.Printf("  error: %s\n", e.Err)
+		}
+		for _, sp := range e.Trace.Spans {
+			fmt.Printf("  %-12s %8.3fms\n", sp.Name, sp.DurMS)
+		}
+	}
 }
 
 // printStatsHeadline surfaces the server's degradation state above the raw

@@ -83,7 +83,6 @@ import (
 	"syscall"
 	"time"
 
-	"sgb/internal/core"
 	"sgb/internal/engine"
 	"sgb/internal/obs"
 	"sgb/internal/server"
@@ -288,17 +287,8 @@ func run(cfg daemonConfig) error {
 		streams.AttachEngine(db)
 	}
 
-	switch cfg.alg {
-	case "auto":
-		db.SetSGBAlgorithmAuto()
-	case "allpairs":
-		db.SetSGBAlgorithm(core.AllPairs)
-	case "bounds":
-		db.SetSGBAlgorithm(core.BoundsChecking)
-	case "index":
-		db.SetSGBAlgorithm(core.IndexBounds)
-	default:
-		return fmt.Errorf("unknown -alg %q (want auto|allpairs|bounds|index)", cfg.alg)
+	if err := db.Set("sgb_algorithm", cfg.alg); err != nil {
+		return fmt.Errorf("-alg: %w", err)
 	}
 	db.SetParallelism(cfg.parallel)
 	db.SetBatchSize(cfg.batch)

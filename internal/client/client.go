@@ -149,25 +149,10 @@ func backoffDelay(err error, attempt int, o Options) time.Duration {
 	return delay/2 + rand.N(delay/2+1)
 }
 
-// dialAndHandshake performs one connection attempt at the current protocol
-// version. When an older server refuses it with CodeVersionMismatch, the
-// client redials once offering the oldest version it still speaks — so a new
-// client keeps working against a v1 server (losing only the newer extras,
-// such as trace-ID propagation and subscriptions).
-func dialAndHandshake(ctx context.Context, addr string) (*Conn, error) {
-	c, err := dialAt(ctx, addr, wire.MaxVersion)
-	var se *ServerError
-	if err != nil && errors.As(err, &se) && se.Code == wire.CodeVersionMismatch &&
-		wire.MinVersion < wire.MaxVersion {
-		return dialAt(ctx, addr, wire.MinVersion)
-	}
-	return c, err
-}
-
-// dialAt performs one connection attempt offering the given protocol version.
-// Every failure path closes the socket — the deferred cleanup is the single
-// place that decides, so no early return can leak the net.Conn.
-func dialAt(ctx context.Context, addr string, version uint32) (c *Conn, err error) {
+// dialAndHandshake performs one connection attempt at MaxVersion. Every
+// failure path closes the socket — the deferred cleanup is the single place
+// that decides, so no early return can leak the net.Conn.
+func dialAndHandshake(ctx context.Context, addr string) (c *Conn, err error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -183,7 +168,7 @@ func dialAt(ctx context.Context, addr string, version uint32) (c *Conn, err erro
 	} else {
 		nc.SetDeadline(time.Now().Add(10 * time.Second))
 	}
-	if err := wire.WriteMessage(nc, &wire.Hello{Version: version}); err != nil {
+	if err := wire.WriteMessage(nc, &wire.Hello{Version: wire.MaxVersion}); err != nil {
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
 	msg, err := wire.ReadMessage(nc)
@@ -208,8 +193,7 @@ func (c *Conn) Server() string { return c.server }
 func (c *Conn) Version() uint32 { return c.version }
 
 // LastTraceID reports the trace ID the client attached to its most recent
-// query, empty before the first query or when the server only speaks protocol
-// v1 (which has no trace propagation). Safe to call from any goroutine.
+// query, empty before the first query. Safe to call from any goroutine.
 func (c *Conn) LastTraceID() string {
 	c.idMu.Lock()
 	defer c.idMu.Unlock()
@@ -304,18 +288,13 @@ type Rows struct {
 // before Stream returns, so column names are immediately available.
 func (c *Conn) Stream(ctx context.Context, sql string) (*Rows, error) {
 	c.qmu.Lock()
-	// Trace propagation is a v2 extra: the client mints the query's trace ID
-	// so the end-to-end trace starts at the caller, and the server's slowlog
-	// entry can be looked up by an ID the client already holds. Against a v1
-	// server the field must stay empty — the frame then encodes byte-for-byte
-	// as a v1 Query.
-	var traceID string
-	if c.version >= 2 {
-		traceID = obs.NewTraceID()
-		c.idMu.Lock()
-		c.lastTraceID = traceID
-		c.idMu.Unlock()
-	}
+	// The client mints the query's trace ID so the end-to-end trace starts at
+	// the caller, and the server's slowlog entry can be looked up by an ID
+	// the client already holds.
+	traceID := obs.NewTraceID()
+	c.idMu.Lock()
+	c.lastTraceID = traceID
+	c.idMu.Unlock()
 	// The lock is held until the Rows is fully drained or closed; Rows.finish
 	// releases it.
 	if err := c.writeMsg(&wire.Query{SQL: sql, TraceID: traceID}); err != nil {
@@ -377,9 +356,8 @@ func (r *Rows) read() (wire.Message, error) {
 	return msg, nil
 }
 
-// TraceID reports the trace ID attached to this query (empty on a v1
-// connection). Present the ID to \slowlog or /debug/slowlog to retrieve the
-// server-side trace.
+// TraceID reports the trace ID attached to this query. Present the ID to
+// \slowlog or /debug/slowlog to retrieve the server-side trace.
 func (r *Rows) TraceID() string { return r.traceID }
 
 // Columns names the result columns (empty for DDL/DML).
@@ -444,9 +422,10 @@ func (r *Rows) finish() {
 	r.c.qmu.Unlock()
 }
 
-// Set changes one session-scoped setting on the server. Names:
-// sgb_algorithm (allpairs|bounds|index), parallelism, batch_size, max_rows,
-// max_time (Go duration, "0" clears).
+// Set changes one session-scoped setting on the server. The names and value
+// syntax are the engine's one key list (engine.DB.Set takes the same pairs
+// for an embedded database); an unknown name or bad value fails with
+// CodeUnknownSetting.
 func (c *Conn) Set(name, value string) error {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()

@@ -99,8 +99,7 @@ func readHello(t *testing.T, nc net.Conn) bool {
 func TestConnectFailureClosesSocket(t *testing.T) {
 	scenarios := []struct {
 		name string
-		// accepts is how many connections the failure consumes: 1, except a
-		// version mismatch, where the client redials once at MinVersion.
+		// accepts is how many connections the failure consumes.
 		accepts int64
 		respond func(t *testing.T, nc net.Conn)
 	}{
@@ -116,7 +115,7 @@ func TestConnectFailureClosesSocket(t *testing.T) {
 			}
 			wire.WriteMessage(nc, &wire.Pong{})
 		}},
-		{"typed rejection", 2, func(t *testing.T, nc net.Conn) {
+		{"typed rejection", 1, func(t *testing.T, nc net.Conn) {
 			if !readHello(t, nc) {
 				return
 			}
@@ -148,46 +147,6 @@ func TestConnectFailureClosesSocket(t *testing.T) {
 	}
 }
 
-// TestConnectDowngradesToV1 scripts a protocol-v1-only server: it refuses the
-// client's v2 Hello with CodeVersionMismatch and welcomes the v1 redial. The
-// client must end up connected at version 1 — the compat path that keeps a
-// new client working against an old server.
-func TestConnectDowngradesToV1(t *testing.T) {
-	srv := newScriptServer(t, func(_ int64, nc net.Conn) {
-		msg, err := wire.ReadMessage(nc)
-		if err != nil {
-			t.Errorf("script server: reading Hello: %v", err)
-			return
-		}
-		hello, ok := msg.(*wire.Hello)
-		if !ok {
-			t.Errorf("script server: expected Hello, got %T", msg)
-			return
-		}
-		if hello.Version != 1 {
-			wire.WriteMessage(nc, &wire.Error{Code: wire.CodeVersionMismatch,
-				Message: "this server speaks protocol 1 only"})
-			return
-		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: 1, Server: "v1-script"})
-		expectPeerClose(t, nc, "v1 conn after Close")
-	})
-	c, err := client.Connect(srv.addr())
-	if err != nil {
-		t.Fatalf("connect with downgrade: %v", err)
-	}
-	defer c.Close()
-	if got := c.Version(); got != 1 {
-		t.Errorf("Version() = %d, want 1", got)
-	}
-	if got := c.LastTraceID(); got != "" {
-		t.Errorf("LastTraceID() = %q before any query, want empty", got)
-	}
-	if n := srv.accepted.Load(); n != 2 {
-		t.Errorf("accepted %d connections, want 2 (v2 refusal + v1 success)", n)
-	}
-}
-
 // TestConnectRetriesTransientRejection: the server answers the first two
 // attempts with CodeTooManyConnections (a transient condition) and completes
 // the handshake on the third. With retries enabled the client must end up
@@ -202,7 +161,7 @@ func TestConnectRetriesTransientRejection(t *testing.T) {
 			expectPeerClose(t, nc, "rejected attempt")
 			return
 		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: wire.Version, Server: "script"})
+		wire.WriteMessage(nc, &wire.Welcome{Version: wire.MaxVersion, Server: "script"})
 		expectPeerClose(t, nc, "accepted conn after Close")
 	})
 	c, err := client.ConnectContext(context.Background(), srv.addr(), client.Options{
@@ -242,8 +201,7 @@ func TestConnectRetriesTransportFailure(t *testing.T) {
 
 // TestConnectDoesNotRetryVersionMismatch: a protocol-level refusal will fail
 // identically on every attempt, so the retry budget must not be spent on it.
-// The refusal costs exactly two connections — the v2 attempt plus the single
-// v1 downgrade redial — never the full retry budget.
+// The refusal costs exactly one connection, never the full retry budget.
 func TestConnectDoesNotRetryVersionMismatch(t *testing.T) {
 	srv := newScriptServer(t, func(_ int64, nc net.Conn) {
 		if !readHello(t, nc) {
@@ -260,8 +218,8 @@ func TestConnectDoesNotRetryVersionMismatch(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != wire.CodeVersionMismatch {
 		t.Fatalf("err = %v, want CodeVersionMismatch ServerError", err)
 	}
-	if n := srv.accepted.Load(); n != 2 {
-		t.Errorf("accepted %d connections, want 2 (v2 + v1 downgrade, no further retries)", n)
+	if n := srv.accepted.Load(); n != 1 {
+		t.Errorf("accepted %d connections, want 1 (no redial, no retries)", n)
 	}
 }
 
@@ -296,7 +254,7 @@ func TestErrConnClosed(t *testing.T) {
 		if !readHello(t, nc) {
 			return
 		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: wire.Version, Server: "script"})
+		wire.WriteMessage(nc, &wire.Welcome{Version: wire.MaxVersion, Server: "script"})
 		expectPeerClose(t, nc, "closed conn")
 	})
 	c, err := client.Connect(srv.addr())

@@ -35,12 +35,8 @@ type SubStream struct {
 // SubscribeOnce attaches this connection to a materialized view's delta
 // stream, resuming after token (0 = from the server's current retention
 // floor, which yields a snapshot image). The connection is occupied until the
-// stream ends; use Next to read deltas and Close for a clean detach. Requires
-// a v3 server.
+// stream ends; use Next to read deltas and Close for a clean detach.
 func (c *Conn) SubscribeOnce(view string, token uint64) (*SubStream, error) {
-	if c.version < 3 {
-		return nil, fmt.Errorf("client: server speaks protocol %d; subscriptions require 3", c.version)
-	}
 	c.qmu.Lock()
 	if err := c.writeMsg(&wire.Subscribe{View: view, Token: token}); err != nil {
 		c.qmu.Unlock()

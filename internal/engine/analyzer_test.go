@@ -164,7 +164,7 @@ func TestCostBasedAlgorithmSelection(t *testing.T) {
 		// Thread the session's algorithm setting the way execTraced does; a
 		// bare planContext would always plan in auto mode.
 		pc := &planContext{db: db, qc: &queryCtx{
-			alg: db.SGBAlgorithm(), algAuto: db.SGBAlgorithmIsAuto(),
+			alg: db.Settings().SGBAlgorithm, algAuto: db.Settings().SGBAuto,
 		}}
 		op, err := pc.planSelect(stmt.(*SelectStmt))
 		if err != nil {

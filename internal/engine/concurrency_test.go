@@ -253,7 +253,7 @@ func TestConcurrentExecStress(t *testing.T) {
 		algs := []core.Algorithm{core.AllPairs, core.IndexBounds}
 		for i := 0; i < iters; i++ {
 			db.SetSGBAlgorithm(algs[i%2])
-			_ = db.SGBAlgorithm()
+			_ = db.Settings()
 			_ = db.LastTrace()
 			_ = db.LastSGBStats()
 		}

@@ -20,33 +20,19 @@ import (
 // concurrently with each other, while DDL/DML (CREATE, DROP, INSERT, UPDATE,
 // DELETE, COPY, index maintenance) runs exclusively. A statement that fails
 // or is canceled mid-flight leaves no partial catalog or table mutations
-// behind. Per-session state accessors (LastTrace, LastSGBStats,
-// SetSGBAlgorithm, SetLimits, ...) are individually thread-safe and reflect
-// the most recently completed statement.
+// behind. The settings methods (Set, SetSGBAlgorithm, SetLimits, ...) are
+// thread-safe and change the defaults that DB.ExecContext and new Sessions
+// use; LastTrace and LastSGBStats are thread-safe and reflect the most
+// recently completed statement.
 type DB struct {
 	// mu is the statement lock: RLock for read-only statements, Lock for
 	// DDL/DML.
 	mu  sync.RWMutex
 	cat *Catalog
 
-	// stateMu guards the session settings and most-recent-statement state
-	// below, which concurrent read statements would otherwise race on.
-	stateMu sync.Mutex
-	sgbAlg  core.Algorithm
-	// sgbAuto, when set, lets the cost-based optimizer choose the SGB
-	// algorithm per query; sgbAlg is then only the fallback hint. Explicit
-	// SetSGBAlgorithm clears it, making sgbAlg a manual override.
-	sgbAuto bool
-	// noOptimize disables the cost-based analyzer rules (the plans fall back
-	// to the naive lowering) — the reference behaviour property tests compare
-	// against.
-	noOptimize bool
-	limits     Limits
-	// parallelism is the session worker count for morsel-parallel fragments:
-	// 0 = auto (GOMAXPROCS), 1 = serial. batchSize is the batch/morsel row
-	// count; 0 = defaultBatchSize.
-	parallelism int
-	batchSize   int
+	// settingsVar holds the default Settings new sessions start from and
+	// DB.ExecContext runs under.
+	settingsVar
 
 	metrics atomic.Pointer[obs.Registry]
 
@@ -79,6 +65,10 @@ type DB struct {
 	aaCh      chan string
 	aaPending map[string]struct{}
 
+	// stateMu guards the most-recent-statement state below, which concurrent
+	// read statements would otherwise race on.
+	stateMu sync.Mutex
+
 	// lastSGBStats holds the cost counters of the most recent SGB operator
 	// execution, when the last statement contained one.
 	lastSGBStats *core.Stats
@@ -93,7 +83,8 @@ type DB struct {
 // on). Each DB owns its metrics registry; callers wanting process-wide
 // aggregation can swap in obs.Default via SetMetrics.
 func NewDB() *DB {
-	db := &DB{cat: NewCatalog(), sgbAlg: core.IndexBounds, sgbAuto: true}
+	db := &DB{cat: NewCatalog()}
+	db.set = Settings{SGBAlgorithm: core.IndexBounds, SGBAuto: true}
 	db.metrics.Store(obs.NewRegistry())
 	db.traceEvery.Store(DefaultTraceSampling)
 	db.gov.db = db
@@ -209,112 +200,24 @@ func (db *DB) LastTrace() *obs.Trace {
 // synchronize externally.
 func (db *DB) Catalog() *Catalog { return db.cat }
 
-// SetSGBAlgorithm forces the physical implementation used by subsequent
-// similarity group-by executions (All-Pairs, Bounds-Checking, or the
-// on-the-fly index), overriding the optimizer's cost-based choice. It is the
-// engine-level switch the benchmark harness flips between the paper's
-// algorithm variants; SetSGBAlgorithmAuto restores cost-based selection.
-func (db *DB) SetSGBAlgorithm(a core.Algorithm) {
-	db.stateMu.Lock()
-	db.sgbAlg = a
-	db.sgbAuto = false
-	db.stateMu.Unlock()
-}
-
-// SetSGBAlgorithmAuto restores cost-based SGB algorithm selection (the
-// default): the optimizer picks per query from the statistics catalog.
-func (db *DB) SetSGBAlgorithmAuto() {
-	db.stateMu.Lock()
-	db.sgbAuto = true
-	db.stateMu.Unlock()
-}
-
-// SGBAlgorithm reports the currently selected SGB implementation (under auto
-// selection: the fallback hint the optimizer starts from).
-func (db *DB) SGBAlgorithm() core.Algorithm {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.sgbAlg
-}
-
-// SGBAlgorithmIsAuto reports whether SGB algorithm selection is cost-based
-// (true, the default) or forced by SetSGBAlgorithm.
-func (db *DB) SGBAlgorithmIsAuto() bool {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.sgbAuto
-}
-
-// SetOptimizer enables or disables the cost-based analyzer rules for
-// subsequent statements. Disabling (on=false) yields the naive plan lowering
-// — semantically identical, used as the reference in plan-equivalence tests.
-func (db *DB) SetOptimizer(on bool) {
-	db.stateMu.Lock()
-	db.noOptimize = !on
-	db.stateMu.Unlock()
-}
-
-// SetLimits installs per-query resource limits applied to every subsequent
-// statement. The zero Limits removes all bounds.
-func (db *DB) SetLimits(lim Limits) {
-	db.stateMu.Lock()
-	db.limits = lim
-	db.stateMu.Unlock()
-}
-
 // Limits reports the currently configured per-query resource limits.
-func (db *DB) Limits() Limits {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.limits
-}
-
-// SetParallelism sets the worker count used by morsel-parallel query
-// fragments in subsequent statements. n <= 0 restores the default: one worker
-// per logical CPU (GOMAXPROCS). 1 forces serial execution.
-func (db *DB) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.stateMu.Lock()
-	db.parallelism = n
-	db.stateMu.Unlock()
-}
+func (db *DB) Limits() Limits { return db.Settings().Limits }
 
 // Parallelism reports the resolved worker count for new statements (never 0;
 // the auto setting resolves to GOMAXPROCS).
 func (db *DB) Parallelism() int {
-	db.stateMu.Lock()
-	n := db.parallelism
-	db.stateMu.Unlock()
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
+	if n := db.Settings().Parallelism; n > 0 {
+		return n
 	}
-	return n
-}
-
-// SetBatchSize sets the batch/morsel row count used by the vectorized
-// executor in subsequent statements. n <= 0 restores defaultBatchSize.
-// Small values are mainly useful to force morsel-parallel plans on small
-// tables in tests.
-func (db *DB) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.stateMu.Lock()
-	db.batchSize = n
-	db.stateMu.Unlock()
+	return runtime.GOMAXPROCS(0)
 }
 
 // BatchSize reports the resolved batch/morsel row count for new statements.
 func (db *DB) BatchSize() int {
-	db.stateMu.Lock()
-	n := db.batchSize
-	db.stateMu.Unlock()
-	if n <= 0 {
-		return defaultBatchSize
+	if n := db.Settings().BatchSize; n > 0 {
+		return n
 	}
-	return n
+	return defaultBatchSize
 }
 
 // LastSGBStats returns the core operator counters from the most recent
@@ -345,23 +248,7 @@ func (db *DB) Exec(sql string) (*Result, error) {
 // (operators poll on a row stride) and ExecContext returns ctx.Err(). A
 // canceled statement leaves no partial catalog or table mutations behind.
 func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	return db.execSQL(ctx, sql, db.settings())
-}
-
-// settings snapshots the DB-level default settings. DB-level setters
-// (SetSGBAlgorithm, SetLimits, SetParallelism, SetBatchSize) configure this
-// default; Sessions take an independent copy at creation time.
-func (db *DB) settings() Settings {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return Settings{
-		SGBAlgorithm: db.sgbAlg,
-		SGBAuto:      db.sgbAuto,
-		Limits:       db.limits,
-		Parallelism:  db.parallelism,
-		BatchSize:    db.batchSize,
-		NoOptimize:   db.noOptimize,
-	}
+	return db.execSQL(ctx, sql, db.Settings())
 }
 
 // execSQL is the shared parse-then-execute driver behind DB.ExecContext and
@@ -400,7 +287,7 @@ func (db *DB) ExecStmt(stmt Statement) (*Result, error) {
 // ExecStmtContext executes an already parsed statement under a context, with
 // the same cancellation semantics as ExecContext.
 func (db *DB) ExecStmtContext(ctx context.Context, stmt Statement) (*Result, error) {
-	return db.execTraced(ctx, stmt, obs.NewTrace(), db.settings(), "")
+	return db.execTraced(ctx, stmt, obs.NewTrace(), db.Settings(), "")
 }
 
 // isReadOnly reports whether stmt cannot mutate the catalog or table data,

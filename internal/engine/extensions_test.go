@@ -154,7 +154,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SGBAlgorithm() != core.BoundsChecking {
+	if restored.Settings().SGBAlgorithm != core.BoundsChecking {
 		t.Error("SGB algorithm not restored")
 	}
 	// The restored database answers queries identically.

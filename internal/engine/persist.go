@@ -30,7 +30,7 @@ type snapshot struct {
 	Tables  []*Table
 	SGBAlg  uint8
 	// SGBManual marks SGBAlg as an explicit override rather than the auto
-	// fallback hint. The field is inverted from DB.sgbAuto so snapshots
+	// fallback hint. The field is inverted from Settings.SGBAuto so snapshots
 	// written before cost-based selection existed (field absent, decodes
 	// false) restore into auto mode, today's default.
 	SGBManual bool
@@ -63,10 +63,11 @@ func (db *DB) SaveLocked(w io.Writer, locked func()) error {
 	if locked != nil {
 		locked()
 	}
+	st := db.Settings()
 	snap := snapshot{
 		Version:   snapshotVersion,
-		SGBAlg:    uint8(db.SGBAlgorithm()),
-		SGBManual: !db.SGBAlgorithmIsAuto(),
+		SGBAlg:    uint8(st.SGBAlgorithm),
+		SGBManual: !st.SGBAuto,
 	}
 	for _, name := range db.cat.Names() {
 		t, err := db.cat.Get(name)
@@ -96,7 +97,7 @@ func Load(r io.Reader) (*DB, error) {
 	} else {
 		// Keep auto selection on but restore the fallback hint. Load runs
 		// before the DB is shared, so the direct write cannot race.
-		db.sgbAlg = algFromByte(snap.SGBAlg)
+		db.set.SGBAlgorithm = algFromByte(snap.SGBAlg)
 	}
 	for _, t := range snap.Tables {
 		created, err := db.cat.Create(t.Name, t.Schema)

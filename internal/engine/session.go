@@ -2,39 +2,9 @@ package engine
 
 import (
 	"context"
-	"sync"
 
-	"sgb/internal/core"
 	"sgb/internal/obs"
 )
-
-// Settings is the complete set of session-scoped execution knobs. A snapshot
-// of Settings is taken when a statement starts and is threaded through
-// planning and execution (via queryCtx), so a statement's behaviour is fixed
-// at plan time: concurrent sessions changing their own knobs can never race a
-// statement that is already in flight, and two sessions can hold different
-// settings against the same shared DB.
-type Settings struct {
-	// SGBAlgorithm selects the physical similarity group-by implementation
-	// (All-Pairs, Bounds-Checking, or the on-the-fly index). It is a manual
-	// override only when SGBAuto is false; under SGBAuto it is the fallback
-	// hint the optimizer uses when cost-based selection has nothing to go on.
-	SGBAlgorithm core.Algorithm
-	// SGBAuto (the default for new DBs) lets the cost-based optimizer choose
-	// the SGB algorithm per query from the statistics catalog.
-	SGBAuto bool
-	// Limits bounds the resources a single statement may consume.
-	Limits Limits
-	// Parallelism is the morsel worker count: 0 = auto (GOMAXPROCS),
-	// 1 = serial.
-	Parallelism int
-	// BatchSize is the batch/morsel row count; 0 = the engine default.
-	BatchSize int
-	// NoOptimize disables the cost-based analyzer rules, producing the naive
-	// plan lowering. Semantics are unchanged; plan-equivalence tests use it
-	// as the reference.
-	NoOptimize bool
-}
 
 // Session is a per-client view of a shared DB: it carries its own Settings
 // while executing against the DB's catalog and statement lock. Sessions are
@@ -46,81 +16,20 @@ type Settings struct {
 // evolve independently afterwards: SetParallelism on one session never
 // affects another session or the DB defaults.
 type Session struct {
-	db  *DB
-	mu  sync.Mutex
-	set Settings
+	db *DB
+	settingsVar
 }
 
 // NewSession creates a session over db whose settings are initialized from
 // the DB-level defaults.
 func (db *DB) NewSession() *Session {
-	return &Session{db: db, set: db.settings()}
+	s := &Session{db: db}
+	s.set = db.Settings()
+	return s
 }
 
 // DB returns the shared database this session executes against.
 func (s *Session) DB() *DB { return s.db }
-
-// Settings returns a snapshot of the session's current settings.
-func (s *Session) Settings() Settings {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.set
-}
-
-// SetSGBAlgorithm forces the SGB physical implementation for subsequent
-// statements on this session only, overriding cost-based selection.
-func (s *Session) SetSGBAlgorithm(a core.Algorithm) {
-	s.mu.Lock()
-	s.set.SGBAlgorithm = a
-	s.set.SGBAuto = false
-	s.mu.Unlock()
-}
-
-// SetSGBAlgorithmAuto restores cost-based SGB algorithm selection for
-// subsequent statements on this session only.
-func (s *Session) SetSGBAlgorithmAuto() {
-	s.mu.Lock()
-	s.set.SGBAuto = true
-	s.mu.Unlock()
-}
-
-// SetOptimizer enables or disables the cost-based analyzer rules for
-// subsequent statements on this session only.
-func (s *Session) SetOptimizer(on bool) {
-	s.mu.Lock()
-	s.set.NoOptimize = !on
-	s.mu.Unlock()
-}
-
-// SetLimits installs per-query resource limits for subsequent statements on
-// this session only. The zero Limits removes all bounds.
-func (s *Session) SetLimits(lim Limits) {
-	s.mu.Lock()
-	s.set.Limits = lim
-	s.mu.Unlock()
-}
-
-// SetParallelism sets the session's morsel worker count (0 = auto, 1 =
-// serial) for subsequent statements on this session only.
-func (s *Session) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	s.set.Parallelism = n
-	s.mu.Unlock()
-}
-
-// SetBatchSize sets the session's batch/morsel row count (0 = engine
-// default) for subsequent statements on this session only.
-func (s *Session) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	s.set.BatchSize = n
-	s.mu.Unlock()
-}
 
 // Exec parses and executes one SQL statement under the session's settings.
 func (s *Session) Exec(sql string) (*Result, error) {

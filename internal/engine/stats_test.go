@@ -172,7 +172,7 @@ func TestStatsSurviveSnapshot(t *testing.T) {
 	if lt.Stats.AnalyzedRows != tab.Stats.AnalyzedRows || lt.Stats.Sketch.N != tab.Stats.Sketch.N {
 		t.Errorf("stats mismatch after load: %+v vs %+v", lt.Stats, tab.Stats)
 	}
-	if !loaded.SGBAlgorithmIsAuto() {
+	if !loaded.Settings().SGBAuto {
 		t.Error("auto algorithm selection lost in snapshot round-trip")
 	}
 }

@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"net"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"sgb/internal/core"
 	"sgb/internal/engine"
 	"sgb/internal/obs"
 	"sgb/internal/stream"
@@ -31,10 +29,6 @@ type conn struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	sess *engine.Session
-	// version is the negotiated protocol version for this connection
-	// (min(client, server), set by the handshake).
-	version uint32
-
 	// ctx is the connection's force-close signal: canceling it aborts the
 	// in-flight statement and terminates the session loop.
 	ctx    context.Context
@@ -156,10 +150,7 @@ func (c *conn) handshake() error {
 				hello.Version, wire.MinVersion, wire.MaxVersion)})
 		return errors.New("server: version mismatch")
 	}
-	// The conversation runs at the client's version (never above ours, by the
-	// check above); Welcome echoes it so the client knows what was agreed.
-	c.version = hello.Version
-	return c.writeMsg(&wire.Welcome{Version: c.version, Server: c.srv.cfg.ServerName})
+	return c.writeMsg(&wire.Welcome{Version: hello.Version, Server: c.srv.cfg.ServerName})
 }
 
 // readLoop feeds decoded frames to the session loop until the connection
@@ -200,7 +191,10 @@ func (c *conn) dispatch(rr readResult) bool {
 	case *wire.Query:
 		return c.runQuery(m, rr.dur)
 	case *wire.Set:
-		return c.applySetting(m)
+		if err := c.sess.Set(m.Name, m.Value); err != nil {
+			return c.writeMsg(&wire.Error{Code: wire.CodeUnknownSetting, Message: err.Error()}) == nil
+		}
+		return c.writeMsg(&wire.Done{}) == nil
 	case *wire.Ping:
 		return c.writeMsg(&wire.Pong{}) == nil
 	case *wire.Stats:
@@ -257,14 +251,6 @@ func (c *conn) introspect(m *wire.Introspect) bool {
 // in Seq order. A consumer that falls behind the manager's buffer is cut with
 // a typed error; it re-subscribes with its token and resumes by ring replay.
 func (c *conn) runSubscribe(m *wire.Subscribe) bool {
-	if c.version < 3 {
-		// Subscribe exists only in protocol v3; a frame at a lower negotiated
-		// version is a protocol violation, mirroring the unexpected-frame arm
-		// of dispatch.
-		c.writeMsg(&wire.Error{Code: wire.CodeProtocol,
-			Message: fmt.Sprintf("Subscribe requires protocol 3, negotiated %d", c.version)})
-		return false
-	}
 	mgr := c.srv.cfg.Streams
 	if mgr == nil {
 		return c.writeMsg(&wire.Error{Code: wire.CodeQuery,
@@ -351,18 +337,18 @@ func (e *statementPanicError) Error() string {
 
 // admit acquires an execution slot when the server caps concurrent
 // statements, waiting in the bounded admission queue and shedding beyond it.
-// It returns a release func (nil-safe semantics are the caller's: release is
-// non-nil iff ok and a slot was taken), ok=false when the statement must not
-// run (shed, canceled, or connection-fatal), and fatal=true when the
-// connection itself must close.
-func (c *conn) admit(tr *obs.Trace, qcancel context.CancelFunc) (release func(), ok, fatal bool) {
+// It returns a non-nil release func when the statement may run. Otherwise
+// reply is the terminal frame owed to the client (nil when there is none to
+// send), left to the caller so the statement's slowlog entry lands before it,
+// and fatal reports that the connection itself must close.
+func (c *conn) admit(tr *obs.Trace, qcancel context.CancelFunc) (release func(), reply wire.Message, fatal bool) {
 	if c.srv.slots == nil {
-		return func() {}, true, false
+		return func() {}, nil, false
 	}
 	// Fast path: a slot is free.
 	select {
 	case c.srv.slots <- struct{}{}:
-		return func() { <-c.srv.slots }, true, false
+		return func() { <-c.srv.slots }, nil, false
 	default:
 	}
 	m := c.srv.db.Metrics()
@@ -370,12 +356,11 @@ func (c *conn) admit(tr *obs.Trace, qcancel context.CancelFunc) (release func(),
 		// Queue full: shed now rather than queue without bound.
 		c.srv.queued.Add(-1)
 		m.Counter("server_queries_shed_total").Inc()
-		err := c.writeMsg(&wire.Error{
+		return nil, &wire.Error{
 			Code:         wire.CodeOverloaded,
 			Message:      "server overloaded: admission queue full; retry later",
 			RetryAfterMS: uint32(shedRetryAfter / time.Millisecond),
-		})
-		return nil, false, err != nil
+		}, false
 	}
 	tr.SetState("queued")
 	queuedGauge := m.Gauge("server_admission_queued")
@@ -387,31 +372,28 @@ func (c *conn) admit(tr *obs.Trace, qcancel context.CancelFunc) (release func(),
 	for {
 		select {
 		case c.srv.slots <- struct{}{}:
-			return func() { <-c.srv.slots }, true, false
+			return func() { <-c.srv.slots }, nil, false
 		case <-c.ctx.Done():
-			return nil, false, true
+			return nil, nil, true
 		case <-c.drain:
-			c.writeMsg(&wire.Error{Code: wire.CodeShuttingDown, Message: "server is shutting down"})
-			return nil, false, true
+			return nil, &wire.Error{Code: wire.CodeShuttingDown, Message: "server is shutting down"}, true
 		case rr := <-c.in:
 			if rr.err != nil {
-				return nil, false, true
+				return nil, nil, true
 			}
 			switch rr.msg.(type) {
 			case *wire.Cancel:
 				qcancel()
-				err := c.writeMsg(&wire.Error{Code: wire.CodeCanceled, Message: "query canceled while queued"})
-				return nil, false, err != nil
+				return nil, &wire.Error{Code: wire.CodeCanceled, Message: "query canceled while queued"}, false
 			case *wire.Ping:
 				if c.writeMsg(&wire.Pong{}) != nil {
-					return nil, false, true
+					return nil, nil, true
 				}
 			case *wire.Close:
-				return nil, false, true
+				return nil, nil, true
 			default:
-				c.writeMsg(&wire.Error{Code: wire.CodeProtocol,
-					Message: fmt.Sprintf("unexpected %T while queued", rr.msg)})
-				return nil, false, true
+				return nil, &wire.Error{Code: wire.CodeProtocol,
+					Message: fmt.Sprintf("unexpected %T while queued", rr.msg)}, true
 			}
 		}
 	}
@@ -421,7 +403,7 @@ func (c *conn) admit(tr *obs.Trace, qcancel context.CancelFunc) (release func(),
 // the wire for Cancel. It reports false when the connection must close.
 //
 // This is where the end-to-end trace assembles: the client's propagated trace
-// ID (or a server-minted one for untraced/v1 clients) heads a trace that
+// ID (or a server-minted one for an untraced Query) heads a trace that
 // accumulates the frame's wire_decode span, the engine's parse/plan/execute
 // spans, the WAL's wal_append/wal_fsync spans from the commit hook, and
 // finally the row-streaming span — then lands in the slowlog.
@@ -450,11 +432,14 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 
 	// Statement admission: when the server caps concurrency, wait for an
 	// execution slot (visible as state "queued" in the process list) or shed.
-	release, admitted, fatal := c.admit(tr, qcancel)
-	if !admitted {
+	release, reply, fatal := c.admit(tr, qcancel)
+	if release == nil {
 		tr.SetState("done")
 		c.recordFinished(entry, time.Since(start), 0,
 			errors.New("statement not admitted (shed or canceled while queued)"))
+		if reply != nil && c.writeMsg(reply) != nil {
+			return false
+		}
 		return !fatal
 	}
 	defer release()
@@ -613,105 +598,10 @@ func (c *conn) writeQueryError(err error) error {
 	return c.writeMsg(&wire.Error{Code: code, Message: err.Error(), RetryAfterMS: retryMS})
 }
 
-// applySetting maps a Set frame onto the connection's engine session.
-func (c *conn) applySetting(m *wire.Set) bool {
-	fail := func(format string, args ...any) bool {
-		return c.writeMsg(&wire.Error{Code: wire.CodeUnknownSetting,
-			Message: fmt.Sprintf(format, args...)}) == nil
-	}
-	switch m.Name {
-	case "sgb_algorithm":
-		if m.Value == "auto" {
-			c.sess.SetSGBAlgorithmAuto()
-			break
-		}
-		alg, ok := parseAlgorithm(m.Value)
-		if !ok {
-			return fail("unknown SGB algorithm %q (want auto|allpairs|bounds|index)", m.Value)
-		}
-		c.sess.SetSGBAlgorithm(alg)
-	case "parallelism":
-		n, err := strconv.Atoi(m.Value)
-		if err != nil || n < 0 {
-			return fail("bad parallelism %q", m.Value)
-		}
-		c.sess.SetParallelism(n)
-	case "batch_size":
-		n, err := strconv.Atoi(m.Value)
-		if err != nil || n < 0 {
-			return fail("bad batch_size %q", m.Value)
-		}
-		c.sess.SetBatchSize(n)
-	case "max_rows":
-		n, err := strconv.ParseInt(m.Value, 10, 64)
-		if err != nil || n < 0 {
-			return fail("bad max_rows %q", m.Value)
-		}
-		lim := c.sess.Settings().Limits
-		lim.MaxRowsMaterialized = n
-		c.sess.SetLimits(lim)
-	case "max_time":
-		d, err := time.ParseDuration(m.Value)
-		if (err != nil && m.Value != "0") || d < 0 {
-			return fail("bad max_time %q (want a duration like 2s, or 0)", m.Value)
-		}
-		lim := c.sess.Settings().Limits
-		lim.MaxExecutionTime = d
-		c.sess.SetLimits(lim)
-	default:
-		return fail("unknown setting %q", m.Name)
-	}
-	return c.writeMsg(&wire.Done{}) == nil
-}
-
 // writeMsg sends one frame. Frame writes are serialized by the session loop
-// (the only writer), so no extra locking is needed here. Pre-v4 peers reject
-// trailing payload bytes, so the retry-after hint is stripped for them.
+// (the only writer), so no extra locking is needed here.
 func (c *conn) writeMsg(m wire.Message) error {
-	if e, ok := m.(*wire.Error); ok && e.RetryAfterMS != 0 && c.version < 4 {
-		clone := *e
-		clone.RetryAfterMS = 0
-		m = &clone
-	}
 	return wire.WriteMessage(c.nc, m)
-}
-
-// settingsString summarizes the session knobs that shaped a statement's plan,
-// recorded alongside the statement in the slowlog.
-func (c *conn) settingsString() string {
-	st := c.sess.Settings()
-	name := algName(st.SGBAlgorithm)
-	if st.SGBAuto {
-		name = "auto"
-	}
-	return fmt.Sprintf("algorithm=%s parallelism=%d batch_size=%d",
-		name, st.Parallelism, st.BatchSize)
-}
-
-// algName is the inverse of parseAlgorithm.
-func algName(a core.Algorithm) string {
-	switch a {
-	case core.AllPairs:
-		return "allpairs"
-	case core.BoundsChecking:
-		return "bounds"
-	case core.IndexBounds:
-		return "index"
-	}
-	return fmt.Sprintf("alg(%d)", a)
-}
-
-// parseAlgorithm maps the wire spelling onto the core enum.
-func parseAlgorithm(s string) (core.Algorithm, bool) {
-	switch s {
-	case "allpairs":
-		return core.AllPairs, true
-	case "bounds":
-		return core.BoundsChecking, true
-	case "index":
-		return core.IndexBounds, true
-	}
-	return 0, false
 }
 
 // countingConn counts every socket byte into the server traffic metrics.

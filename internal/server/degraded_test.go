@@ -271,7 +271,7 @@ func TestServerAdmissionQueueAndShed(t *testing.T) {
 	srv := startServer(t, db, Config{
 		MaxActiveQueries:   1,
 		AdmissionQueue:     1,
-		SlowQueryThreshold: -1,
+		SlowQueryThreshold: 0,
 	})
 	block := make(chan struct{})
 	var unblock sync.Once
@@ -326,6 +326,13 @@ func TestServerAdmissionQueueAndShed(t *testing.T) {
 	}
 	if got := db.Metrics().Counter("server_queries_shed_total").Value(); got == 0 {
 		t.Fatal("server_queries_shed_total not incremented")
+	}
+	// The shed statement's slowlog entry landed before its Error frame: the
+	// other two statements are still in flight, so it is the only entry.
+	entries := srv.SlowLog().Entries()
+	if len(entries) != 1 || entries[0].TraceID != c3.LastTraceID() || entries[0].Err == "" {
+		t.Fatalf("slowlog when the shed reply arrived = %+v, want only the shed statement %s",
+			entries, c3.LastTraceID())
 	}
 	// The shed connection remains usable once load drops.
 	release()

@@ -74,7 +74,7 @@ func (c *conn) recordFinished(e *procEntry, elapsed time.Duration, rows int64, e
 		TraceID:   e.tr.ID(),
 		Client:    e.client,
 		SQL:       e.sql,
-		Settings:  c.settingsString(),
+		Settings:  c.sess.Settings().String(),
 		ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6,
 		Rows:      rows,
 		Trace:     e.tr.Snapshot(),

@@ -8,14 +8,12 @@ package server
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
 	"sgb/internal/client"
 	"sgb/internal/engine"
 	"sgb/internal/obs"
-	"sgb/internal/wire"
 )
 
 // spanNames flattens a trace snapshot's span names for containment checks.
@@ -189,69 +187,5 @@ func TestProcessListLifecycle(t *testing.T) {
 			t.Fatalf("canceled query still in process list: %+v", srv.ProcessList())
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestV1ClientStillServed speaks raw protocol v1 — Hello{1}, a Query frame
-// with no trace tail — and asserts the v2 server negotiates down, answers the
-// query, and still mints a server-side trace for its slowlog.
-func TestV1ClientStillServed(t *testing.T) {
-	db := engine.NewDB()
-	loadPoints(t, db, 10)
-	srv := startServer(t, db, Config{SlowQueryThreshold: 0})
-
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteMessage(nc, &wire.Hello{Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := wire.ReadMessage(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, ok := msg.(*wire.Welcome)
-	if !ok {
-		t.Fatalf("expected Welcome, got %#v", msg)
-	}
-	if w.Version != 1 {
-		t.Fatalf("negotiated version %d for a v1 client, want 1", w.Version)
-	}
-
-	if err := wire.WriteMessage(nc, &wire.Query{SQL: "SELECT count(*) FROM pts"}); err != nil {
-		t.Fatal(err)
-	}
-	var rows int64
-	for {
-		msg, err := wire.ReadMessage(nc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch m := msg.(type) {
-		case *wire.RowHeader, *wire.RowBatch:
-		case *wire.Done:
-			rows = m.RowCount
-		case *wire.Error:
-			t.Fatalf("server error for v1 query: %v", m)
-		default:
-			t.Fatalf("unexpected %T", msg)
-		}
-		if _, done := msg.(*wire.Done); done {
-			break
-		}
-	}
-	if rows != 1 {
-		t.Fatalf("v1 query returned %d rows, want 1", rows)
-	}
-
-	// The untraced query still got a server-minted trace in the slowlog.
-	entries := srv.SlowLog().Entries()
-	if len(entries) != 1 {
-		t.Fatalf("slowlog has %d entries, want 1", len(entries))
-	}
-	if !obs.ValidTraceID(entries[0].TraceID) {
-		t.Errorf("server-minted trace ID %q invalid", entries[0].TraceID)
 	}
 }

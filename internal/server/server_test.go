@@ -469,26 +469,32 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestVersionMismatchRejected pins the protocol-versioning contract.
+// TestVersionMismatchRejected pins the protocol-versioning contract: the
+// server speaks exactly MaxVersion, so older and newer Hellos alike get
+// CodeVersionMismatch.
 func TestVersionMismatchRejected(t *testing.T) {
 	db := engine.NewDB()
 	srv := startServer(t, db, Config{})
 
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteMessage(nc, &wire.Hello{Version: wire.Version + 7}); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	msg, err := wire.ReadMessage(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := msg.(*wire.Error)
-	if !ok || e.Code != wire.CodeVersionMismatch {
-		t.Fatalf("got %#v, want CodeVersionMismatch error", msg)
+	for _, v := range []uint32{0, wire.MaxVersion - 1, wire.MaxVersion + 7} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			nc, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if err := wire.WriteMessage(nc, &wire.Hello{Version: v}); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+			msg, err := wire.ReadMessage(nc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, ok := msg.(*wire.Error)
+			if !ok || e.Code != wire.CodeVersionMismatch {
+				t.Fatalf("got %#v, want CodeVersionMismatch error", msg)
+			}
+		})
 	}
 }

@@ -18,36 +18,16 @@
 // (including the NaN bit patterns the float encoding preserves).
 //
 // Protocol versioning: MaxVersion is a single monotonically increasing
-// integer. A server accepts any Hello version in [MinVersion, MaxVersion] and
-// echoes the accepted version in Welcome; it refuses anything else with
-// CodeVersionMismatch, naming its own range in the error message. A client
-// dialing an older server retries the handshake at the server's version.
-// Additive changes (new message types, new Set keys) that old peers can
-// safely ignore do not bump the version; changes to existing frame layouts
-// do. Every negotiation site — the server's Hello check and error text, the
-// client's opening dial — must reference MaxVersion rather than a literal, so
-// a version bump cannot leave a straggler advertising the old ceiling.
-//
-// Version history:
-//
-//	1: initial server protocol (PR 4).
-//	2: Query frames may carry a trailing trace ID for cross-boundary
-//	   tracing; Introspect/IntrospectResult messages expose the server's
-//	   process list and slow-query log. A v2 server still accepts v1
-//	   clients (which simply never attach trace IDs), and a v2 client
-//	   downgrades to v1 framing against a v1 server.
-//	3: streaming subscriptions over materialized similarity-group views:
-//	   Subscribe opens a delta stream with a WAL-seq resume token,
-//	   Subscribed acknowledges it, and Delta frames push typed group
-//	   changes (created / member joined / merged / dissolved). v1/v2
-//	   clients are unaffected — they never send Subscribe — and a v3
-//	   client still downgrades for plain queries against older servers.
-//	4: graceful degradation: CodeReadOnly (store degraded, writes
-//	   rejected) and CodeOverloaded (admission shed) failures, and Error
-//	   frames may carry a trailing retry-after hint in milliseconds.
-//	   Servers strip the hint when talking to pre-v4 clients, whose
-//	   decoders reject trailing bytes; pre-v4 clients are otherwise
-//	   unaffected and v4 clients still downgrade against older servers.
+// integer, and the only client lives in this repository, so a server speaks
+// exactly one version: it accepts a Hello in [MinVersion, MaxVersion] (today
+// MinVersion = MaxVersion) and refuses anything else with
+// CodeVersionMismatch, naming its own range in the error message. Clients
+// never downgrade. Additive changes (new message types, new Set keys) do not
+// bump the version; changes to existing frame layouts do, and retire the old
+// layout with it. Every negotiation site — the server's Hello check and
+// error text, the client's opening dial — must reference MaxVersion rather
+// than a literal, so a version bump cannot leave a straggler advertising the
+// old ceiling.
 package wire
 
 import (
@@ -62,19 +42,13 @@ import (
 	"sgb/internal/obs"
 )
 
-// MaxVersion is the newest protocol version this package speaks, and the
-// single source of truth every negotiation site must reference. See the
-// package comment for the compatibility policy.
+// MaxVersion is the protocol version this package speaks, and the single
+// source of truth every negotiation site must reference. See the package
+// comment for the versioning policy.
 const MaxVersion = 4
 
-// Version is the newest protocol version this package speaks.
-//
-// Deprecated: it is an alias for MaxVersion, kept so existing callers keep
-// compiling; new code should spell MaxVersion.
-const Version = MaxVersion
-
-// MinVersion is the oldest protocol version a server still accepts.
-const MinVersion = 1
+// MinVersion is the oldest protocol version a server accepts.
+const MinVersion = MaxVersion
 
 // Magic opens every Hello payload, so a server can reject a stray HTTP or
 // MySQL client with a protocol error instead of a confusing decode failure.
@@ -95,8 +69,8 @@ const (
 	TypeCancel     byte = 0x05 // client: abort the in-flight query
 	TypeStats      byte = 0x06 // client: request the server metrics snapshot
 	TypeClose      byte = 0x07 // client: graceful goodbye
-	TypeIntrospect byte = 0x08 // client: request process list / slowlog (v2+)
-	TypeSubscribe  byte = 0x09 // client: open a materialized-view delta stream (v3+)
+	TypeIntrospect byte = 0x08 // client: request process list / slowlog
+	TypeSubscribe  byte = 0x09 // client: open a materialized-view delta stream
 
 	TypeWelcome          byte = 0x81 // server: handshake accepted
 	TypeRowHeader        byte = 0x82 // server: result column names
@@ -105,9 +79,9 @@ const (
 	TypeError            byte = 0x85 // server: typed failure
 	TypePong             byte = 0x86 // server: ping reply
 	TypeStatsText        byte = 0x87 // server: Prometheus text metrics
-	TypeIntrospectResult byte = 0x88 // server: introspection JSON (v2+)
-	TypeSubscribed       byte = 0x89 // server: subscription accepted (v3+)
-	TypeDelta            byte = 0x8A // server: one group delta (v3+)
+	TypeIntrospectResult byte = 0x88 // server: introspection JSON
+	TypeSubscribed       byte = 0x89 // server: subscription accepted
+	TypeDelta            byte = 0x8A // server: one group delta
 )
 
 // Delta kinds carried by the Delta message. The numeric values are shared
@@ -192,17 +166,16 @@ type Welcome struct {
 //
 // TraceID optionally correlates the statement with an end-to-end trace: 16
 // lowercase hex digits, minted by the client (or left empty, in which case a
-// v2 server mints one itself). The field rides as an optional trailing
-// string on the v1 Query layout — a v1 peer that never writes it produces
-// exactly the v1 frame, which is what keeps the two versions interoperable.
+// server mints one itself). The field rides as an optional trailing string
+// after the SQL text.
 type Query struct {
 	SQL     string
 	TraceID string
 }
 
-// Set changes one session-scoped setting. Names and value syntax are defined
-// by the server (see internal/server: sgb_algorithm, parallelism, batch_size,
-// max_rows, max_time).
+// Set changes one session-scoped setting. The names and their value syntax
+// are the engine's one key list (see engine.Settings' Set method:
+// sgb_algorithm, parallelism, batch_size, max_rows, max_time).
 type Set struct {
 	Name, Value string
 }
@@ -220,7 +193,7 @@ type Cancel struct{}
 // Stats requests the server's metrics registry; answered by StatsText.
 type Stats struct{}
 
-// Introspect (v2+) requests one of the server's live-introspection surfaces
+// Introspect requests one of the server's live-introspection surfaces
 // — What is IntrospectProcessList or IntrospectSlowLog. It is part of the
 // Stats family: answered out of band of queries with an IntrospectResult.
 type Introspect struct {
@@ -235,7 +208,7 @@ type IntrospectResult struct {
 	JSON string
 }
 
-// Subscribe (v3+) opens a delta stream over a materialized similarity-group
+// Subscribe opens a delta stream over a materialized similarity-group
 // view. Token is the resume position: the WAL sequence of the last delta the
 // client has durably consumed, or 0 for "from the beginning". The server
 // replays every retained delta with a sequence greater than Token before
@@ -246,7 +219,7 @@ type Subscribe struct {
 	Token uint64
 }
 
-// Subscribed (v3+) accepts a Subscribe. Seq is the view's current position
+// Subscribed accepts a Subscribe. Seq is the view's current position
 // (the WAL sequence of the last commit folded into it). When Snapshot is
 // true, the client's resume token was 0 or predated the server's delta
 // retention, so the frames that follow are a full state snapshot (synthetic
@@ -258,7 +231,7 @@ type Subscribed struct {
 	Snapshot bool
 }
 
-// Delta (v3+) is one typed change to a materialized view's group state.
+// Delta is one typed change to a materialized view's group state.
 // Group ids are stable: a group is identified by its smallest member row id.
 // Replay semantics, applied in stream order against a map of group id →
 // member set: Created sets the group; Joined unions Members in; Merged moves
@@ -309,8 +282,7 @@ type Error struct {
 	// RetryAfterMS, when nonzero, hints how many milliseconds the client
 	// should wait before retrying (CodeReadOnly: the degraded-probe
 	// interval; CodeOverloaded: the shed backoff). Encoded as an optional
-	// trailing field only when nonzero, and only to v4+ peers — older
-	// decoders reject trailing bytes.
+	// trailing field only when nonzero.
 	RetryAfterMS uint32
 }
 
